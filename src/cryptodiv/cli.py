@@ -74,6 +74,17 @@ def _parse_params(doc: dict, where: str, kind: ModelKind) -> EnsembleParams:
         raise ConfigError(f"bad model parameters at {where}: {exc}") from exc
 
 
+def _distinct_years(periods: tuple[date, ...], where: str) -> tuple[date, ...]:
+    """Scenario labels carry only the period's year, so periods must not share one."""
+    seen: dict[int, date] = {}
+    for p in periods:
+        if p.year in seen:
+            raise ConfigError(f"{where}: periods {seen[p.year]} and {p} fall in the same year, "
+                              f"so their scenario labels collide ({p.year}_<window>)")
+        seen[p.year] = p
+    return periods
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
@@ -125,6 +136,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"bad periods/windows: {exc}") from exc
     if any(w < 1 for w in windows):
         raise ConfigError(f"windows must be >= 1, got {windows}")
+    _distinct_years(periods, "periods")
 
     pipeline = PipelineConfig(
         target_metric=doc.get("target_metric", "crypto100"),
@@ -171,7 +183,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None):
         cfg.output_dir = Path(args.out)
     if getattr(args, "periods", None):
-        cfg.periods = tuple(date.fromisoformat(p) for p in args.periods.split(","))
+        cfg.periods = _distinct_years(
+            tuple(date.fromisoformat(p) for p in args.periods.split(",")), "--periods")
     if getattr(args, "windows", None):
         cfg.windows = tuple(int(w) for w in args.windows.split(","))
     if getattr(args, "jobs", None):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -248,9 +250,13 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
                     vals.append(np.nan)
                 else:
                     try:
-                        vals.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ManifestError(f"{csv_path}:{lineno}: bad value {cell!r} for {m!r}") from None
+                    if not math.isfinite(value):
+                        raise ManifestError(f"{csv_path}:{lineno}: non-finite value {cell!r} for {m!r} "
+                                            "(leave the cell empty for a missing value)")
+                    vals.append(value)
             rows.append((d, vals))
 
     rows.sort(key=lambda r: r[0])  # stable: file order preserved among equal dates
@@ -263,18 +269,25 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
 # per-series cleaning
 # ---------------------------------------------------------------------------
 
+def _ordinals(dates: Sequence[date]) -> np.ndarray:
+    """`date.toordinal()` of each date as int64: consecutive days differ by 1."""
+    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
+def _day_range(first: date, n: int) -> tuple[date, ...]:
+    """The n consecutive dates starting at `first`."""
+    return tuple((np.datetime64(first, "D") + np.arange(n)).tolist())
+
+
 def dedupe(series: MetricSeries) -> MetricSeries:
     """Drop repeated dates, keeping the first occurrence of each."""
-    seen: set[date] = set()
-    keep = []
-    for i, d in enumerate(series.dates):
-        if d not in seen:
-            seen.add(d)
-            keep.append(i)
-    if len(keep) == len(series.dates):
+    _, first = np.unique(_ordinals(series.dates), return_index=True)
+    if len(first) == len(series.dates):
         return series
-    idx = np.array(keep)
-    return replace(series, dates=tuple(series.dates[i] for i in keep), values=series.values[idx])
+    keep = np.zeros(len(series.dates), dtype=bool)
+    keep[first] = True
+    return replace(series, dates=tuple(compress(series.dates, keep.tolist())),
+                   values=series.values[keep])
 
 
 def _to_daily_grid(series: MetricSeries) -> MetricSeries:
@@ -286,10 +299,8 @@ def _to_daily_grid(series: MetricSeries) -> MetricSeries:
     if n == len(series.dates):
         return series
     values = np.full(n, np.nan)
-    for d, v in zip(series.dates, series.values):
-        values[(d - first).days] = v
-    dates = tuple(first + timedelta(days=i) for i in range(n))
-    return replace(series, dates=dates, values=values)
+    values[_ordinals(series.dates) - first.toordinal()] = series.values
+    return replace(series, dates=_day_range(first, n), values=values)
 
 
 def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
@@ -300,20 +311,20 @@ def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
     are left missing.
     """
     daily = _to_daily_grid(series)
-    values = daily.values.copy()
-    filled = 0
-    last = np.nan
-    last_valid = _last_valid_index(values)
-    for i in range(len(values)):
-        if np.isnan(values[i]):
-            if not np.isnan(last) and last_valid is not None and i < last_valid:
-                values[i] = last
-                filled += 1
-        else:
-            last = values[i]
+    values = daily.values
+    valid = np.flatnonzero(~np.isnan(values))
+    if valid.size == 0:
+        return daily, 0
+    gaps = np.isnan(values)
+    gaps[:valid[0]] = False
+    gaps[valid[-1]:] = False
+    filled = int(gaps.sum())
     if filled == 0:
         return daily, 0
-    return replace(daily, values=values), filled
+    # inside the observed span every non-gap is observed, so the running max
+    # of non-gap positions is the last observed day at or before each gap
+    source = np.maximum.accumulate(np.where(gaps, 0, np.arange(len(values))))
+    return replace(daily, values=values[source]), filled
 
 
 def interpolate_fill(series: MetricSeries) -> MetricSeries:
@@ -341,11 +352,6 @@ def interpolate_fill(series: MetricSeries) -> MetricSeries:
     return replace(daily, values=out)
 
 
-def _last_valid_index(values: np.ndarray) -> int | None:
-    idx = np.flatnonzero(~np.isnan(values))
-    return int(idx[-1]) if idx.size else None
-
-
 # ---------------------------------------------------------------------------
 # corpus-level cleaning
 # ---------------------------------------------------------------------------
@@ -360,29 +366,24 @@ def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...]
         raise ValueError("corpus has no dated points")
     start, end = min(firsts), max(lasts)
     n = (end - start).days + 1
-    grid = tuple(start + timedelta(days=i) for i in range(n))
     columns = {}
     for name in sorted(corpus):
         series = corpus[name]
         col = np.full(n, np.nan)
-        for d, v in zip(series.dates, series.values):
-            col[(d - start).days] = v
+        col[_ordinals(series.dates) - start.toordinal()] = series.values
         columns[name] = col
-    return grid, columns
+    return _day_range(start, n), columns
 
 
 def longest_flat_run(values: np.ndarray) -> int:
     """Length of the longest run of equal consecutive observed values."""
-    best = run = 0
-    prev = np.nan
-    for v in values:
-        if not np.isnan(v) and v == prev:
-            run += 1
-        else:
-            run = 1 if not np.isnan(v) else 0
-        best = max(best, run)
-        prev = v
-    return best
+    values = np.asarray(values)
+    if np.isnan(values).all():
+        return 0
+    # NaN != NaN ends a run; inf == inf and 0.0 == -0.0 extend one
+    same = np.concatenate(([False], values[1:] == values[:-1], [False]))
+    edges = np.flatnonzero(np.diff(same.astype(np.int8)))
+    return 1 + int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def drop_degenerate(

@@ -137,6 +137,8 @@ def load_mcap_csv(path: str | Path) -> list[McapSnapshot]:
                 cap = float(row[2])
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{lineno}: bad market-cap row {row!r}") from None
+            if not math.isfinite(cap):
+                raise ValueError(f"{path}:{lineno}: non-finite market cap {row[2].strip()!r}")
             symbol = row[1].strip()
             day = per_day.setdefault(d, {})
             if symbol in day:

@@ -122,6 +122,16 @@ def test_run_twice_byte_identical(tmp_path):
     assert "drop_log.csv" in a
 
 
+def test_run_jobs_2_matches_jobs_1(tmp_path):
+    config, _, _ = small_setup(tmp_path)
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert main(["run", "--config", str(config), "--out", str(serial), "--jobs", "1"]) == 0
+    assert main(["run", "--config", str(config), "--out", str(parallel), "--jobs", "2"]) == 0
+    a, b = tree_bytes(serial), tree_bytes(parallel)
+    assert len([k for k in a if k.startswith("scenarios/")]) == 4
+    assert a == b
+
+
 def test_run_emits_expected_artifacts(tmp_path):
     config, out_dir, _ = small_setup(tmp_path, seed=1)
     assert main(["run", "--config", str(config)]) == 0
@@ -210,6 +220,25 @@ def test_unknown_top_level_key_rejected(tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config)]) == 1
     assert "surprise" in capsys.readouterr().err
+
+
+def test_colliding_period_years_rejected(tmp_path, capsys):
+    config, out_dir, _ = small_setup(tmp_path, seed=8)
+    doc = json.loads(config.read_text())
+    doc["periods"] = ["2018-02-01", "2019-01-01", "2018-06-01"]
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "2018-02-01" in err and "2018-06-01" in err and "periods" in err
+    assert not out_dir.exists()
+
+
+def test_periods_override_colliding_years_rejected(tmp_path, capsys):
+    config, out_dir, _ = small_setup(tmp_path, seed=8)
+    assert main(["run", "--config", str(config), "--periods", "2018-02-01,2018-06-01"]) == 1
+    err = capsys.readouterr().err
+    assert "2018-02-01" in err and "2018-06-01" in err and "--periods" in err
+    assert not out_dir.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

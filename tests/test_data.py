@@ -90,6 +90,14 @@ def test_load_corpus_empty_cell_is_missing(tmp_path):
     assert corpus["m2"].points == [(date(2019, 1, 1), None), (date(2019, 1, 2), 2.0)]
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_corpus_rejects_non_finite(tmp_path, literal):
+    write_csv(tmp_path / "a.csv", "date,m1,m2", ["2019-01-01,1,2", f"2019-01-02,3,{literal}"])
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro", "m2": "macro"}})
+    with pytest.raises(ManifestError, match=r"a\.csv:3: non-finite value .* for 'm2'"):
+        load_corpus(tmp_path / "manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # dedupe
 # ---------------------------------------------------------------------------

@@ -161,6 +161,16 @@ def test_load_mcap_csv_errors(tmp_path):
         load_mcap_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+def test_load_mcap_csv_rejects_non_finite_cap(tmp_path, literal):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text(f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-01,ETH,{literal}\n")
+    with pytest.raises(ValueError, match=r"caps\.csv:3: non-finite market cap"):
+        load_mcap_csv(path)
+
+
 def test_calibrate_tie_prefers_smaller_power():
     # reference at the geometric midpoint of the p=6 and p=7 indices ties them
     start = date(2020, 1, 1)
