@@ -19,7 +19,7 @@ from .importance import (ConstantColumnError, ImportanceReport, ShapleyResult, m
 from .index import (CalibrationResult, IndexDomainError, IndexParams, McapSnapshot,
                     calibrate_power, crypto100, select_top_n)
 from .indicators import IndicatorKind, IndicatorSpec, bollinger, ema, rsi, sma
-from .models import (CVResult, EnsembleParams, ModelKind, TreeEnsemble, TreeNode,
-                     fit_forest, fit_gbt, fit_tree, grid_search_cv, mse, predict)
+from .models import (CVResult, EnsembleParams, ModelKind, TreeEnsemble, fit_forest, fit_gbt,
+                     fit_tree, grid_search_cv, mse)
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
 from .models import EnsembleParams, ModelKind
+from .seeding import derive_seed
 
 
 class ConfigError(ValueError):
@@ -331,7 +332,7 @@ def cmd_fra(args: argparse.Namespace) -> int:
     scenario = Scenario(date.fromisoformat(args.period), args.window)
     train, _ = _scenario_dataset(cfg, scenario)
     seed = experiments.scenario_seed(cfg.pipeline.seed, scenario)
-    fra_config = replace(cfg.pipeline.fra, seed=experiments._derived_seed(seed, "fra"))
+    fra_config = replace(cfg.pipeline.fra, seed=derive_seed(seed, "fra"))
     result = fra.fra_reduce(train, fra_config)
     out_dir = Path(args.out) if args.out else cfg.output_dir / "fra"
     reports.atomic_write_text(out_dir / f"{scenario.label}_audit.json", fra.audit_json(result))
@@ -359,14 +360,14 @@ def cmd_importance(args: argparse.Namespace) -> int:
     else:
         X = train.matrix(features)
         model = models.fit_forest(X, train.target, rf_params,
-                                  experiments._derived_seed(seed, "importance", "rf"),
+                                  derive_seed(seed, "importance", "rf"),
                                   feature_names=features)
         if args.method == "mdi":
             report = importance.mdi(model)
         else:
             report = importance.pfi(model, X, train.target,
                                     repeats=cfg.pipeline.fra.pfi_repeats,
-                                    seed=experiments._derived_seed(seed, "importance", "pfi"),
+                                    seed=derive_seed(seed, "importance", "pfi"),
                                     feature_names=features)
     out = Path(args.out) if args.out else cfg.output_dir / "importance" / f"{scenario.label}_{args.method}.csv"
     reports.atomic_write_text(out, report.to_csv())

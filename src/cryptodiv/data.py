@@ -237,7 +237,7 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
 
         rows: list[tuple[date, list[float]]] = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             try:
                 d = date.fromisoformat(row[0].strip())
@@ -290,17 +290,29 @@ def dedupe(series: MetricSeries) -> MetricSeries:
                    values=series.values[keep])
 
 
+def _ascending_ordinals(series: MetricSeries) -> np.ndarray:
+    """`_ordinals` of the series' dates, which must be strictly ascending."""
+    ordinals = _ordinals(series.dates)
+    bad = np.flatnonzero(ordinals[1:] <= ordinals[:-1])
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise ValueError(f"{series.name}: dates must be strictly ascending, "
+                         f"got {series.dates[i]} after {series.dates[i - 1]}")
+    return ordinals
+
+
 def _to_daily_grid(series: MetricSeries) -> MetricSeries:
     """Expand onto the consecutive daily calendar spanning the series' dates."""
     if not series.dates:
         return series
-    first, last = series.dates[0], series.dates[-1]
-    n = (last - first).days + 1
+    offsets = _ascending_ordinals(series)
+    offsets -= offsets[0]
+    n = int(offsets[-1]) + 1
     if n == len(series.dates):
         return series
     values = np.full(n, np.nan)
-    values[_ordinals(series.dates) - first.toordinal()] = series.values
-    return replace(series, dates=_day_range(first, n), values=values)
+    values[offsets] = series.values
+    return replace(series, dates=_day_range(series.dates[0], n), values=values)
 
 
 def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
@@ -308,7 +320,7 @@ def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
 
     Returns the filled series and the number of imputed days. Used for
     traditional market indices, which do not trade on weekends. Leading gaps
-    are left missing.
+    are left missing. The dates must be strictly ascending (ValueError).
     """
     daily = _to_daily_grid(series)
     values = daily.values
@@ -331,7 +343,8 @@ def interpolate_fill(series: MetricSeries) -> MetricSeries:
     """Linearly interpolate interior missing values on the daily calendar.
 
     Leading and trailing gaps are never filled; they are handled later by
-    slice_period / drop_degenerate.
+    slice_period / drop_degenerate. The dates must be strictly ascending
+    (ValueError).
     """
     daily = _to_daily_grid(series)
     values = daily.values
@@ -357,7 +370,10 @@ def interpolate_fill(series: MetricSeries) -> MetricSeries:
 # ---------------------------------------------------------------------------
 
 def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...], dict[str, np.ndarray]]:
-    """Pad every series with NaN onto the corpus-wide daily calendar."""
+    """Pad every series with NaN onto the corpus-wide daily calendar.
+
+    Each series' dates must be strictly ascending (ValueError).
+    """
     if not corpus:
         raise ValueError("empty corpus")
     firsts = [s.dates[0] for s in corpus.values() if s.dates]
@@ -365,12 +381,14 @@ def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...]
     if not firsts:
         raise ValueError("corpus has no dated points")
     start, end = min(firsts), max(lasts)
-    n = (end - start).days + 1
+    # below 1 only when every dated series is out of order, which the loop rejects
+    n = max((end - start).days + 1, 0)
     columns = {}
     for name in sorted(corpus):
         series = corpus[name]
+        offsets = _ascending_ordinals(series) - start.toordinal()
         col = np.full(n, np.nan)
-        col[_ordinals(series.dates) - start.toordinal()] = series.values
+        col[offsets] = series.values
         columns[name] = col
     return _day_range(start, n), columns
 

@@ -21,7 +21,7 @@ from .fra import FinalVector, FraConfig, ReducedFeatureSet, final_vector, fra_re
 from .importance import mdi, shapley_sampled
 from .indicators import default_battery, augment_corpus
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
-from .seeding import substream
+from .seeding import derive_seed, substream
 
 SHORT_TERM_WINDOWS = (1, 7)
 LONG_TERM_WINDOWS = (90, 180)
@@ -201,13 +201,9 @@ def improvement(model_factory: ModelFactory, dataset: Dataset,
 # the per-cell pipeline
 # ---------------------------------------------------------------------------
 
-def _derived_seed(seed: int, *keys) -> int:
-    return int(substream(seed, *keys).integers(0, 2 ** 63 - 1))
-
-
 def scenario_seed(config_seed: int, scenario: Scenario) -> int:
-    return _derived_seed(config_seed, "scenario", scenario.period_start.isoformat(),
-                         scenario.window)
+    return derive_seed(config_seed, "scenario", scenario.period_start.isoformat(),
+                       scenario.window)
 
 
 def prepare_dataset(corpus: Mapping[str, MetricSeries], scenario: Scenario,
@@ -251,7 +247,7 @@ def run_scenario(corpus: Mapping[str, MetricSeries], scenario: Scenario,
     dataset = stage("prepare", prepare_dataset, corpus, scenario, config)
     train, _test = stage("split", chronological_split, dataset, config.holdout_fraction)
 
-    fra_config = replace(config.fra, seed=_derived_seed(seed, "fra"))
+    fra_config = replace(config.fra, seed=derive_seed(seed, "fra"))
     fra_result: ReducedFeatureSet = stage("fra", fra_reduce, train, fra_config)
 
     shap_report = stage("shapley", _shapley_ranking, train, fra_result.rf_params,
@@ -272,7 +268,7 @@ def run_scenario(corpus: Mapping[str, MetricSeries], scenario: Scenario,
 
     partitions = {cat: [f for f, c in train.categories.items() if c is cat]
                   for cat in candidate_counts}
-    improvement_seed = _derived_seed(seed, "improvement")
+    improvement_seed = derive_seed(seed, "improvement")
     rf_params = fra_result.rf_params
 
     def factory(X, y, feats):
@@ -291,8 +287,8 @@ def run_scenario(corpus: Mapping[str, MetricSeries], scenario: Scenario,
         model_summary={
             "rf": _params_summary(fra_result.rf_params),
             "gbt": _params_summary(fra_result.gbt_params),
-            "final_rf_trees": len(rf_final.trees),
-            "final_rf_max_depth": max(t.depth() for t in rf_final.trees),
+            "final_rf_trees": rf_final.n_trees,
+            "final_rf_max_depth": rf_final.nodes.max_depth(),
         },
         improvement=improvement_result,
         fra_iterations=len(fra_result.iterations),
@@ -305,7 +301,7 @@ def _shapley_ranking(train: Dataset, rf_params: EnsembleParams,
                      settings: ShapleySettings, seed: int):
     features = list(train.feature_names)
     X = train.matrix(features)
-    model = fit_forest(X, train.target, rf_params, _derived_seed(seed, "shap", "model"),
+    model = fit_forest(X, train.target, rf_params, derive_seed(seed, "shap", "model"),
                        feature_names=features)
     bg_rows = _subsample_rows(len(X), settings.background_rows,
                               substream(seed, "shap", "background"))
@@ -313,7 +309,7 @@ def _shapley_ranking(train: Dataset, rf_params: EnsembleParams,
                               substream(seed, "shap", "explain"))
     result = shapley_sampled(model, X[bg_rows], X[ex_rows],
                              n_permutations=settings.n_permutations,
-                             seed=_derived_seed(seed, "shap", "perms"),
+                             seed=derive_seed(seed, "shap", "perms"),
                              feature_names=features)
     return result.report
 
@@ -328,7 +324,7 @@ def _fit_final_rf(train: Dataset, features: Sequence[str], params: EnsembleParam
                   seed: int) -> TreeEnsemble:
     feats = sorted(features)
     return fit_forest(train.matrix(feats), train.target, params,
-                      _derived_seed(seed, "final_rf"), feature_names=feats)
+                      derive_seed(seed, "final_rf"), feature_names=feats)
 
 
 def _params_summary(params: EnsembleParams) -> dict:

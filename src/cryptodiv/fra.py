@@ -18,7 +18,7 @@ from .data import Dataset
 from .importance import ImportanceReport, mdi, pearson_abs, pfi
 from .models import (EnsembleParams, ModelKind, default_gbt_grid, default_rf_grid,
                      fit_forest, fit_gbt, grid_search_cv)
-from .seeding import substream
+from .seeding import derive_seed
 
 METHODS = ("rf_mdi", "gbt_mdi", "rf_pfi", "gbt_pfi")
 
@@ -97,19 +97,15 @@ def _mean_ranks(features: Sequence[str], reports: dict[str, ImportanceReport]) -
     return {f: total / len(reports) for f, total in ranks.items()}
 
 
-def _derived_seed(seed: int, *keys) -> int:
-    return int(substream(seed, *keys).integers(0, 2 ** 63 - 1))
-
-
 def _resolve_params(dataset: Dataset, features: list[str], config: FraConfig
                     ) -> tuple[EnsembleParams, EnsembleParams]:
     if config.tune_first:
         X = dataset.matrix(features)
         y = dataset.target
         rf_cv = grid_search_cv(X, y, default_rf_grid(), k=config.cv_folds,
-                               seed=_derived_seed(config.seed, "fra", "tune", "rf"))
+                               seed=derive_seed(config.seed, "fra", "tune", "rf"))
         gbt_cv = grid_search_cv(X, y, default_gbt_grid(), k=config.cv_folds,
-                                seed=_derived_seed(config.seed, "fra", "tune", "gbt"))
+                                seed=derive_seed(config.seed, "fra", "tune", "gbt"))
         return rf_cv.best_params, gbt_cv.best_params
     return (config.rf_params or DEFAULT_RF_PARAMS,
             config.gbt_params or DEFAULT_GBT_PARAMS)
@@ -121,18 +117,18 @@ def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleP
     """Fit both models on the given features and produce the four rankings."""
     X = dataset.matrix(features)
     y = dataset.target
-    rf = fit_forest(X, y, rf_params, _derived_seed(seed, "fra", "rf", round_key),
+    rf = fit_forest(X, y, rf_params, derive_seed(seed, "fra", "rf", round_key),
                     feature_names=features)
-    gbt = fit_gbt(X, y, gbt_params, _derived_seed(seed, "fra", "gbt", round_key),
+    gbt = fit_gbt(X, y, gbt_params, derive_seed(seed, "fra", "gbt", round_key),
                   feature_names=features)
     return {
         "rf_mdi": mdi(rf),
         "gbt_mdi": mdi(gbt),
         "rf_pfi": pfi(rf, X, y, repeats=pfi_repeats,
-                      seed=_derived_seed(seed, "fra", "rf_pfi", round_key),
+                      seed=derive_seed(seed, "fra", "rf_pfi", round_key),
                       feature_names=features),
         "gbt_pfi": pfi(gbt, X, y, repeats=pfi_repeats,
-                       seed=_derived_seed(seed, "fra", "gbt_pfi", round_key),
+                       seed=derive_seed(seed, "fra", "gbt_pfi", round_key),
                        feature_names=features),
     }
 

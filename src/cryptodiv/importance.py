@@ -85,32 +85,31 @@ def mdi(model: TreeEnsemble) -> ImportanceReport:
     the impurity decrease; credits are summed per tree, averaged over the
     ensemble, and normalized to sum 1.
     """
-    if not model.trees:
+    nodes, n_trees = model.nodes, model.n_trees
+    if not n_trees:
         raise ValueError("model has no fitted trees")
     p = model.n_features
+    split = np.flatnonzero(nodes.feature >= 0)
+    left, right = nodes.left[split], nodes.right[split]
+    n_node, n_left, n_right = nodes.n_samples[split], nodes.n_samples[left], nodes.n_samples[right]
+    if np.any(n_left + n_right != n_node):
+        raise ValueError("model is missing per-node statistics")
+    tree = np.searchsorted(nodes.roots, split, side="right") - 1
+    weighted_child = (n_left * nodes.impurity[left] + n_right * nodes.impurity[right]) / n_node
+    credit = (n_node / nodes.n_samples[nodes.roots[tree]]) * (nodes.impurity[split] - weighted_child)
+    # bins are (tree, feature) pairs, each summed in node order
+    credits = np.bincount(tree * p + nodes.feature[split], weights=credit,
+                          minlength=n_trees * p).reshape(n_trees, p)
     total = np.zeros(p)
-    for root in model.trees:
-        credit = np.zeros(p)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            if node.impurity is None or node.left.n_samples + node.right.n_samples != node.n_samples:
-                raise ValueError("model is missing per-node statistics")
-            weighted_child = (node.left.n_samples * node.left.impurity
-                              + node.right.n_samples * node.right.impurity) / node.n_samples
-            credit[node.feature] += (node.n_samples / root.n_samples) * (node.impurity - weighted_child)
-            stack.append(node.right)
-            stack.append(node.left)
-        total += credit
-    total /= len(model.trees)
+    for tree_credit in credits:
+        total += tree_credit
+    total /= n_trees
     s = total.sum()
     if s > 0:
         total = total / s
     names = _names(model, p)
     return ImportanceReport("mdi", {n: float(v) for n, v in zip(names, total)},
-                            {"kind": model.kind.value, "n_trees": len(model.trees)})
+                            {"kind": model.kind.value, "n_trees": n_trees})
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def load_mcap_csv(path: str | Path) -> list[McapSnapshot]:
         if header is None or [h.strip() for h in header[:3]] != ["date", "asset", "market_cap_usd"]:
             raise ValueError(f"{path}: expected header date,asset,market_cap_usd")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             try:
                 d = date.fromisoformat(row[0].strip())

@@ -1,21 +1,22 @@
 """Regression tree ensembles: random forest and least-squares gradient boosting.
 
-Trees are grown greedily by variance reduction with midpoint thresholds and
-keep per-node sample counts and impurities so impurity-based importance can
-be computed later. All randomness (bootstrap draws, per-node feature
-subsets) comes from substreams keyed by (seed, tree index), so a fit is
-fully determined by (data, params, seed).
+Trees are grown greedily by variance reduction with midpoint thresholds,
+straight into a preorder node table; an ensemble keeps all of its trees in
+one such table. Per-node sample counts and impurities are kept so
+impurity-based importance can be computed later. All randomness (bootstrap
+draws, per-node feature subsets) comes from substreams keyed by (seed, tree
+index), so a fit is fully determined by (data, params, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import derive_seed, substream
 
 
 class ModelKind(Enum):
@@ -53,105 +54,72 @@ class EnsembleParams:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
 
-@dataclass
-class TreeNode:
-    n_samples: int
-    impurity: float  # variance of the node's targets
-    value: float     # mean of the node's targets
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+@dataclass(eq=False)
+class _NodeTable:
+    """Fitted trees as parallel per-node arrays in preorder.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Tree t occupies one block starting at roots[t]: each node is followed by
+    its left subtree, then its right subtree. At a leaf feature is -1,
+    threshold 0.0, and left and right point back at the leaf itself.
+    n_samples and impurity (the variance of the node's targets) feed
+    impurity-based importance; value is the mean.
+    """
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    impurity: np.ndarray
+    roots: np.ndarray
 
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
+    @classmethod
+    def from_rows(cls, rows: list[list]) -> "_NodeTable":
+        """One tree from preorder rows (feature, threshold, left, right, value, n, impurity)."""
+        feature, threshold, left, right, value, n_samples, impurity = zip(*rows)
+        return cls(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+                   np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                   np.array(value, dtype=np.float64), np.array(n_samples, dtype=np.intp),
+                   np.array(impurity, dtype=np.float64), np.zeros(1, dtype=np.intp))
 
+    @classmethod
+    def concat(cls, tables: list["_NodeTable"]) -> "_NodeTable":
+        offsets = np.cumsum([0] + [len(t.feature) for t in tables[:-1]]).astype(np.intp)
 
-class _FlatTree:
-    """Array form of a fitted tree for vectorized prediction."""
+        def stacked(column: str) -> np.ndarray:
+            return np.concatenate([getattr(t, column) for t in tables])
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+        def shifted(column: str) -> np.ndarray:
+            return np.concatenate([getattr(t, column) + off for t, off in zip(tables, offsets)])
 
-    def __init__(self, root: TreeNode):
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
+        return cls(stacked("feature"), stacked("threshold"), shifted("left"), shifted("right"),
+                   stacked("value"), stacked("n_samples"), stacked("impurity"), offsets)
 
-        def visit(node: TreeNode) -> int:
-            i = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(node.value)
-            if not node.is_leaf:
-                feature[i] = node.feature
-                threshold[i] = node.threshold
-                left[i] = visit(node.left)
-                right[i] = visit(node.right)
-            return i
+    def leaves(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Leaf reached by each row of X from the start nodes `node`.
 
-        visit(root)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.intp)
+        node has shape (n,) or (n, k): row i of X is routed from node[i] (or
+        from each of node[i, :]).
+        """
+        rows = np.arange(len(X)).reshape((-1,) + (1,) * (node.ndim - 1))
         while True:
             feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                return self.value[node]
-            cur = node[active]
-            go_left = X[active, feat[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
+            if not (feat >= 0).any():
+                return node
+            # a row already at a leaf stays there whichever way it goes; its
+            # feature -1 just reads the last column
+            go_left = X[rows, feat] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
 
-
-class _FlatForest:
-    """All trees of an ensemble concatenated for one-pass batched routing."""
-
-    __slots__ = ("roots", "feature", "threshold", "left", "right", "value")
-
-    def __init__(self, flats: list[_FlatTree]):
-        sizes = np.array([len(f.feature) for f in flats])
-        offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
-        self.roots = offsets
-        self.feature = np.concatenate([f.feature for f in flats])
-        self.threshold = np.concatenate([f.threshold for f in flats])
-        self.left = np.concatenate([f.left + off for f, off in zip(flats, offsets)])
-        self.right = np.concatenate([f.right + off for f, off in zip(flats, offsets)])
-        self.value = np.concatenate([f.value for f in flats])
-
-    def predict_sum(self, X: np.ndarray) -> np.ndarray:
-        """Sum of all per-tree predictions for each row."""
-        n = len(X)
-        node = np.broadcast_to(self.roots, (n, len(self.roots))).copy()
-        rows = np.arange(n)[:, None]
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                return self.value[node].sum(axis=1)
-            x = X[rows, np.where(internal, feat, 0)]
-            go_left = x <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(internal, nxt, node)
+    def max_depth(self) -> int:
+        """Depth of the deepest tree; a lone leaf has depth 0."""
+        level, depth = self.roots, -1
+        while level.size:
+            depth += 1
+            level = level[self.feature[level] >= 0]
+            level = np.concatenate((self.left[level], self.right[level]))
+        return depth
 
 
 @dataclass
@@ -160,58 +128,51 @@ class TreeEnsemble:
 
     kind: ModelKind
     params: EnsembleParams
-    trees: list[TreeNode]
+    nodes: _NodeTable
     n_features: int
     feature_names: tuple[str, ...] | None = None
     base_value: float = 0.0
     training_mse: tuple[float, ...] = ()  # boosting only: per-stage train MSE
-    _flat: list[_FlatTree] = field(default_factory=list, repr=False)
-    _forest: "_FlatForest | None" = field(default=None, repr=False)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.nodes.roots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got shape {X.shape}")
-        if self._forest is None:
-            self._forest = _FlatForest(self._flat)
-        total = self._forest.predict_sum(X)
+        start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
+        total = self.nodes.value[self.nodes.leaves(X, start)].sum(axis=1)
         if self.kind is ModelKind.RANDOM_FOREST:
-            return total / len(self._flat)
+            return total / self.n_trees
         return self.base_value + self.params.learning_rate * total
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows), row t is tree t's output.
+
+        C order matters: pfi sums this over axis 0, which then adds the rows
+        one after another; a transposed view would be summed pairwise and
+        give different low bits.
+        """
         X = np.asarray(X, dtype=np.float64)
-        return np.array([flat.predict(X) for flat in self._flat])
+        start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
+        return np.ascontiguousarray(self.nodes.value[self.nodes.leaves(X, start)].T)
 
     def predict_tree(self, tree_index: int, X: np.ndarray) -> np.ndarray:
-        return self._flat[tree_index].predict(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        start = np.full(len(X), self.nodes.roots[tree_index])
+        return self.nodes.value[self.nodes.leaves(X, start)]
 
     def tree_feature_sets(self) -> list[np.ndarray]:
         """Feature indices each tree actually splits on."""
-        return [np.unique(f.feature[f.feature >= 0]) for f in self._flat]
+        return [np.unique(f[f >= 0]) for f in np.split(self.nodes.feature, self.nodes.roots[1:])]
 
     def combine_tree_total(self, total: np.ndarray) -> np.ndarray:
         """Predictions from a precomputed sum of per-tree outputs."""
         if self.kind is ModelKind.RANDOM_FOREST:
-            return total / len(self._flat)
+            return total / self.n_trees
         return self.base_value + self.params.learning_rate * total
-
-    def summary(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_trees": len(self.trees),
-            "max_tree_depth": max(t.depth() for t in self.trees),
-            "total_leaves": sum(t.n_leaves() for t in self.trees),
-            "params": {
-                "n_estimators": self.params.n_estimators,
-                "max_depth": self.params.max_depth,
-                "min_samples_split": self.params.min_samples_split,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "features_per_split": self.params.features_per_split,
-                "learning_rate": self.params.learning_rate if self.kind is ModelKind.GRADIENT_BOOST else None,
-                "bootstrap": self.params.bootstrap if self.kind is ModelKind.RANDOM_FOREST else None,
-            },
-        }
 
 
 def _resolve_features_per_split(setting: float | int | None, n_features: int) -> int:
@@ -270,21 +231,24 @@ def _best_split_sorted(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
 
 
 def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
-          params: EnsembleParams, rng: np.random.Generator, m: int) -> TreeNode:
-    """Grow one node; sorted_idx[:, f] lists the node's rows sorted by feature f.
+          params: EnsembleParams, rng: np.random.Generator, m: int, rows: list[list]) -> None:
+    """Append one node, then its left and right subtrees, to `rows` (preorder).
 
-    Children partition the parent's sorted columns instead of re-sorting,
-    so each level costs O(n * p) after the single O(n log n * p) root sort.
+    sorted_idx[:, f] lists the node's rows sorted by feature f. Children
+    partition the parent's sorted columns instead of re-sorting, so each
+    level costs O(n * p) after the single O(n log n * p) root sort.
     """
     n = sorted_idx.shape[0]
     y_node = y[sorted_idx[:, 0]]
     mean = float(y_node.mean())
     centered = y_node - mean
     sse = float(centered @ centered)
-    node = TreeNode(n_samples=n, impurity=sse / n, value=mean)
+    leaf = len(rows)
+    row = [-1, 0.0, leaf, leaf, mean, n, sse / n]
+    rows.append(row)
     if (depth >= params.max_depth or n < params.min_samples_split
             or n < 2 * params.min_samples_leaf or np.ptp(y_node) == 0.0):
-        return node
+        return
 
     p = X.shape[1]
     if m >= p:
@@ -296,10 +260,10 @@ def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
     ys = y[si] - mean
     found = _best_split_sorted(xs, ys, params.min_samples_leaf)
     if found is None:
-        return node
+        return
     local_feat, pos, threshold = found
-    node.feature = int(candidates[local_feat])
-    node.threshold = threshold
+    row[0] = int(candidates[local_feat])
+    row[1] = threshold
 
     in_left = np.zeros(len(y), dtype=bool)
     in_left[si[:pos + 1, local_feat]] = True
@@ -307,18 +271,21 @@ def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
     sorted_t = sorted_idx.T
     left_sorted = sorted_t[sel.T].reshape(p, pos + 1).T
     right_sorted = sorted_t[~sel.T].reshape(p, n - pos - 1).T
-    node.left = _grow(X, y, left_sorted, depth + 1, params, rng, m)
-    node.right = _grow(X, y, right_sorted, depth + 1, params, rng, m)
-    return node
+    row[2] = len(rows)
+    _grow(X, y, left_sorted, depth + 1, params, rng, m, rows)
+    row[3] = len(rows)
+    _grow(X, y, right_sorted, depth + 1, params, rng, m, rows)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams,
-             rng: np.random.Generator) -> TreeNode:
+             rng: np.random.Generator) -> _NodeTable:
     """Grow one CART regression tree; rng drives per-node feature subsets."""
     X, y = _check_xy(X, y)
     m = _resolve_features_per_split(params.features_per_split, X.shape[1])
     sorted_idx = np.argsort(X, axis=0).astype(np.int32)
-    return _grow(X, y, sorted_idx, 0, params, rng, m)
+    rows: list[list] = []
+    _grow(X, y, sorted_idx, 0, params, rng, m, rows)
+    return _NodeTable.from_rows(rows)
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
@@ -337,10 +304,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
         else:
             trees.append(fit_tree(X, y, params, rng))
     return TreeEnsemble(
-        kind=ModelKind.RANDOM_FOREST, params=params, trees=trees,
+        kind=ModelKind.RANDOM_FOREST, params=params, nodes=_NodeTable.concat(trees),
         n_features=X.shape[1],
         feature_names=tuple(feature_names) if feature_names is not None else None,
-        _flat=[_FlatTree(t) for t in trees],
     )
 
 
@@ -357,22 +323,20 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
         params = replace(params, kind=ModelKind.GRADIENT_BOOST)
     base = float(y.mean())
     residual = y - base
+    at_root = np.zeros(len(y), dtype=np.intp)
     trees = []
-    flats = []
     stage_mse = []
     for i in range(params.n_estimators):
         rng = substream(seed, "stage", i)
         tree = fit_tree(X, residual, params, rng)
-        flat = _FlatTree(tree)
-        residual = residual - params.learning_rate * flat.predict(X)
+        residual = residual - params.learning_rate * tree.value[tree.leaves(X, at_root)]
         trees.append(tree)
-        flats.append(flat)
         stage_mse.append(float(np.mean(residual * residual)))
     return TreeEnsemble(
-        kind=ModelKind.GRADIENT_BOOST, params=params, trees=trees,
+        kind=ModelKind.GRADIENT_BOOST, params=params, nodes=_NodeTable.concat(trees),
         n_features=X.shape[1],
         feature_names=tuple(feature_names) if feature_names is not None else None,
-        base_value=base, training_mse=tuple(stage_mse), _flat=flats,
+        base_value=base, training_mse=tuple(stage_mse),
     )
 
 
@@ -381,10 +345,6 @@ def fit_model(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
     if params.kind is ModelKind.RANDOM_FOREST:
         return fit_forest(X, y, params, seed, feature_names)
     return fit_gbt(X, y, params, seed, feature_names)
-
-
-def predict(model: TreeEnsemble, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
 
 
 def mse(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -437,17 +397,12 @@ def grid_search_cv(X: np.ndarray, y: np.ndarray, grid: Sequence[EnsembleParams],
         scores = []
         for fi, fold in enumerate(folds):
             train = np.setdiff1d(np.arange(len(y)), fold)
-            model = fit_model(X[train], y[train], params, _cv_seed(seed, ci, fi))
+            model = fit_model(X[train], y[train], params, derive_seed(seed, "cv", ci, fi))
             scores.append(mse(y[fold], model.predict(X[fold])))
         fold_mses.append(scores)
     mean_mses = [float(np.mean(s)) for s in fold_mses]
     best_index = int(np.argmin(mean_mses))  # first minimum
     return CVResult(list(grid), fold_mses, mean_mses, best_index)
-
-
-def _cv_seed(seed: int, candidate_index: int, fold_index: int) -> int:
-    rng = substream(seed, "cv", candidate_index, fold_index)
-    return int(rng.integers(0, 2 ** 63 - 1))
 
 
 def default_rf_grid() -> list[EnsembleParams]:

@@ -24,3 +24,8 @@ def substream(seed: int, *keys: int | str) -> np.random.Generator:
     """Generator for the substream identified by (seed, *keys)."""
     entropy = [_key_to_int(seed)] + [_key_to_int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def derive_seed(seed: int, *keys: int | str) -> int:
+    """Integer seed in [0, 2**63 - 1) drawn from the substream (seed, *keys)."""
+    return int(substream(seed, *keys).integers(0, 2 ** 63 - 1))

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptodiv.data import (Category, Dataset, ManifestError, MetricSeries, Scenario,
-                            chronological_split, clean_corpus, dedupe, drop_degenerate,
-                            interpolate_fill, load_corpus, make_target, slice_period)
+                            align_calendar, chronological_split, clean_corpus, dedupe,
+                            drop_degenerate, forward_fill, interpolate_fill, load_corpus,
+                            make_target, slice_period)
 
 from conftest import series_from
 
@@ -98,6 +99,19 @@ def test_load_corpus_rejects_non_finite(tmp_path, literal):
         load_corpus(tmp_path / "manifest.json")
 
 
+def test_load_corpus_skips_blank_and_whitespace_rows(tmp_path):
+    write_csv(tmp_path / "a.csv", "date,m1,m2",
+              ["2019-01-01,1,2", "", " , ,", "2019-01-02,3,4", "\t,  "])
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro", "m2": "macro"}})
+    corpus = load_corpus(tmp_path / "manifest.json")
+    assert corpus["m1"].points == [(date(2019, 1, 1), 1.0), (date(2019, 1, 2), 3.0)]
+    assert corpus["m2"].points == [(date(2019, 1, 1), 2.0), (date(2019, 1, 2), 4.0)]
+
+    write_csv(tmp_path / "a.csv", "date,m1,m2", ["2019-01-01,1,2", " , ,", "", "2019-01-02,x,4"])
+    with pytest.raises(ManifestError, match=r"a\.csv:5: bad value 'x' for 'm1'"):
+        load_corpus(tmp_path / "manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # dedupe
 # ---------------------------------------------------------------------------
@@ -170,6 +184,19 @@ def test_interpolate_idempotent(make_series):
     series = make_series("m", [None, 1.0, None, None, 5.0, 2.0, None])
     once = interpolate_fill(series)
     assert interpolate_fill(once).points == once.points
+
+
+@pytest.mark.parametrize("offsets", [(1, 0, 4), (4, 2, 0), (0, 0, 2)],
+                         ids=["earlier-inside-span", "descending", "repeated"])
+@pytest.mark.parametrize("kernel", [
+    forward_fill, interpolate_fill,
+    lambda s: align_calendar({"a": MetricSeries("a", s.category, (), np.array([])), s.name: s})],
+    ids=["forward_fill", "interpolate_fill", "align_calendar"])
+def test_fill_kernels_reject_unsorted_dates(day, offsets, kernel):
+    series = MetricSeries("x", Category.TRADITIONAL_INDEX, tuple(day(o) for o in offsets),
+                          np.array([2.0, 1.0, 5.0]))
+    with pytest.raises(ValueError, match=r"^x: dates must be strictly ascending"):
+        kernel(series)
 
 
 # ---------------------------------------------------------------------------

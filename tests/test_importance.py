@@ -110,6 +110,53 @@ def test_mdi_on_gbt():
     assert sum(report.scores.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def mdi_oracle(model) -> np.ndarray:
+    """MDI by a plain loop over each tree's nodes, in table (preorder) order."""
+    nodes = model.nodes
+    bounds = [int(r) for r in nodes.roots] + [len(nodes.feature)]
+    total = np.zeros(model.n_features)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        credit = np.zeros(model.n_features)
+        root_n = int(nodes.n_samples[start])
+        for i in range(start, stop):
+            f = int(nodes.feature[i])
+            if f < 0:
+                continue
+            n, lo, hi = int(nodes.n_samples[i]), int(nodes.left[i]), int(nodes.right[i])
+            child = (int(nodes.n_samples[lo]) * float(nodes.impurity[lo])
+                     + int(nodes.n_samples[hi]) * float(nodes.impurity[hi])) / n
+            credit[f] += (n / root_n) * (float(nodes.impurity[i]) - child)
+        total += credit
+    total /= len(nodes.roots)
+    s = total.sum()
+    return total / s if s > 0 else total
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def test_mdi_matches_node_loop_oracle_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(250, 7))
+    y = X[:, 0] - X[:, 2] ** 2 + 0.5 * X[:, 5] * X[:, 1] + rng.normal(scale=0.3, size=250)
+    if kind == "rf":
+        model = fit_forest(X, y, EnsembleParams(n_estimators=13, max_depth=7,
+                                                features_per_split=0.5), seed=4)
+    else:
+        model = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=15,
+                                             max_depth=4, bootstrap=False), seed=4)
+    scores = mdi(model).scores
+    got = np.array([scores[f"f{j}"] for j in range(7)])
+    assert np.array_equal(got.view(np.int64), mdi_oracle(model).view(np.int64))
+
+
+def test_mdi_rejects_inconsistent_node_counts():
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(60, 3))
+    model = fit_forest(X, X[:, 0], EnsembleParams(n_estimators=2, max_depth=3), seed=0)
+    model.nodes.n_samples[model.nodes.left[0]] += 1
+    with pytest.raises(ValueError, match="missing per-node statistics"):
+        mdi(model)
+
+
 # ---------------------------------------------------------------------------
 # PFI
 # ---------------------------------------------------------------------------

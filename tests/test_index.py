@@ -171,6 +171,21 @@ def test_load_mcap_csv_rejects_non_finite_cap(tmp_path, literal):
         load_mcap_csv(path)
 
 
+def test_load_mcap_csv_skips_blank_and_whitespace_rows(tmp_path):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text("date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n\n , ,\n"
+                    "2020-01-02,BTC,2e9\n\t, \n")
+    snapshots = load_mcap_csv(path)
+    assert [(s.date, s.caps) for s in snapshots] == [(date(2020, 1, 1), {"BTC": 1e9}),
+                                                      (date(2020, 1, 2), {"BTC": 2e9})]
+
+    path.write_text("date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n , ,\n\n2020-01-02,BTC,oops\n")
+    with pytest.raises(ValueError, match=r"caps\.csv:5: bad market-cap row"):
+        load_mcap_csv(path)
+
+
 def test_calibrate_tie_prefers_smaller_power():
     # reference at the geometric midpoint of the p=6 and p=7 indices ties them
     start = date(2020, 1, 1)

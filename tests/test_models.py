@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from cryptodiv.models import (EnsembleParams, ModelKind, chronological_folds, fit_forest,
-                              fit_gbt, fit_model, fit_tree, grid_search_cv, mse, predict)
+                              fit_gbt, fit_model, fit_tree, grid_search_cv, mse)
 from cryptodiv.seeding import substream
 
 
-def leaf_count(node):
-    if node.is_leaf:
-        return 1
-    return leaf_count(node.left) + leaf_count(node.right)
+def tree_predict(tree, X):
+    """Outputs of the single tree a fit_tree node table holds."""
+    return tree.value[tree.leaves(X, np.zeros(len(X), dtype=np.intp))]
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +20,8 @@ def test_tree_constant_target_single_leaf():
     X = rng.normal(size=(40, 3))
     y = np.full(40, 2.5)
     tree = fit_tree(X, y, EnsembleParams(max_depth=10), substream(0, "t"))
-    assert tree.is_leaf and tree.value == 2.5 and tree.impurity == 0.0
+    assert len(tree.feature) == 1 and tree.feature[0] == -1
+    assert tree.value[0] == 2.5 and tree.impurity[0] == 0.0
 
 
 def test_tree_separable_step_splits_once():
@@ -30,9 +30,10 @@ def test_tree_separable_step_splits_once():
     X[:, 1] = np.where(X[:, 1] > 0, X[:, 1] + 5.0, X[:, 1] - 5.0)  # well-separated
     y = (X[:, 1] > 0).astype(float)
     tree = fit_tree(X, y, EnsembleParams(max_depth=8), substream(0, "t"))
-    assert tree.feature == 1
-    assert tree.left.is_leaf and tree.right.is_leaf
-    assert {tree.left.value, tree.right.value} == {0.0, 1.0}
+    assert tree.feature[0] == 1
+    left, right = tree.left[0], tree.right[0]
+    assert tree.feature[left] == -1 and tree.feature[right] == -1
+    assert {tree.value[left], tree.value[right]} == {0.0, 1.0}
 
 
 def test_tree_min_samples_leaf_forces_single_leaf():
@@ -40,8 +41,8 @@ def test_tree_min_samples_leaf_forces_single_leaf():
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
     tree = fit_tree(X, y, EnsembleParams(max_depth=8, min_samples_leaf=30), substream(0, "t"))
-    assert tree.is_leaf
-    assert tree.value == pytest.approx(y.mean())
+    assert len(tree.feature) == 1 and tree.feature[0] == -1
+    assert tree.value[0] == pytest.approx(y.mean())
 
 
 def test_tree_node_statistics_consistent():
@@ -50,14 +51,12 @@ def test_tree_node_statistics_consistent():
     y = X[:, 0] + rng.normal(scale=0.1, size=200)
     tree = fit_tree(X, y, EnsembleParams(max_depth=5), substream(0, "t"))
 
-    def check(node):
-        assert node.impurity >= 0
-        if not node.is_leaf:
-            assert node.left.n_samples + node.right.n_samples == node.n_samples
-            check(node.left)
-            check(node.right)
-    check(tree)
-    assert tree.n_samples == 200
+    assert np.all(tree.impurity >= 0)
+    split = np.flatnonzero(tree.feature >= 0)
+    assert split.size > 0
+    assert np.array_equal(tree.n_samples[tree.left[split]] + tree.n_samples[tree.right[split]],
+                          tree.n_samples[split])
+    assert tree.n_samples[0] == 200
 
 
 def test_tree_dimension_mismatch():
@@ -76,8 +75,7 @@ def test_forest_degenerate_equals_single_tree():
     params = EnsembleParams(n_estimators=1, max_depth=6, bootstrap=False)
     forest = fit_forest(X, y, params, seed=9)
     tree = fit_tree(X, y, params, substream(9, "tree", 0))
-    from cryptodiv.models import _FlatTree
-    assert np.array_equal(forest.predict(X), _FlatTree(tree).predict(X))
+    assert np.array_equal(forest.predict(X), tree_predict(tree, X))
 
 
 def test_forest_same_seed_bit_identical():
@@ -127,6 +125,45 @@ def test_forest_variance_shrinks_with_more_trees():
     assert spread(40) < spread(2)
 
 
+def test_forest_node_table_is_preorder():
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(90, 4))
+    y = X[:, 0] + rng.normal(scale=0.5, size=90)
+    nodes = fit_forest(X, y, EnsembleParams(n_estimators=5, max_depth=5), seed=3).nodes
+    bounds = [int(r) for r in nodes.roots] + [len(nodes.feature)]
+    assert bounds[0] == 0
+
+    def walk(i, depth, order):
+        order.append(i)
+        if nodes.feature[i] < 0:
+            assert nodes.left[i] == i and nodes.right[i] == i and nodes.threshold[i] == 0.0
+            return depth
+        assert nodes.left[i] == i + 1
+        return max(walk(nodes.left[i], depth + 1, order), walk(nodes.right[i], depth + 1, order))
+
+    depths = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        order = []
+        depths.append(walk(start, 0, order))
+        assert order == list(range(start, stop))
+    assert nodes.max_depth() == max(depths) <= 5
+
+
+def test_per_tree_predictions_c_ordered_rows_match_predict_tree():
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(150, 5))
+    y = X[:, 1] - X[:, 3] + rng.normal(scale=0.2, size=150)
+    probe = rng.normal(size=(40, 5))
+    for model in (fit_forest(X, y, EnsembleParams(n_estimators=11, max_depth=6), seed=1),
+                  fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=9,
+                                               max_depth=3, bootstrap=False), seed=1)):
+        per_tree = model.per_tree_predictions(probe)
+        assert per_tree.shape == (model.n_trees, 40) and per_tree.flags["C_CONTIGUOUS"]
+        for t in range(model.n_trees):
+            assert np.array_equal(per_tree[t].view(np.int64),
+                                  model.predict_tree(t, probe).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # gradient boosting
 # ---------------------------------------------------------------------------
@@ -139,8 +176,7 @@ def test_gbt_one_full_stage_matches_single_tree_residuals():
                             learning_rate=1.0, bootstrap=False)
     model = fit_gbt(X, y, params, seed=4)
     tree = fit_tree(X, y - y.mean(), params, substream(4, "stage", 0))
-    from cryptodiv.models import _FlatTree
-    expected = y.mean() + _FlatTree(tree).predict(X)
+    expected = y.mean() + tree_predict(tree, X)
     assert np.allclose(model.predict(X), expected, atol=1e-12)
 
 
@@ -195,7 +231,7 @@ def test_predict_dimension_mismatch():
     X = rng.normal(size=(30, 3))
     model = fit_forest(X, rng.normal(size=30), EnsembleParams(n_estimators=2, max_depth=3), seed=0)
     with pytest.raises(ValueError):
-        predict(model, rng.normal(size=(5, 4)))
+        model.predict(rng.normal(size=(5, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +354,6 @@ def test_summary_shape():
     rng = np.random.default_rng(20)
     X = rng.normal(size=(50, 3))
     model = fit_forest(X, rng.normal(size=50), EnsembleParams(n_estimators=3, max_depth=4), seed=0)
-    info = model.summary()
-    assert info["kind"] == "rf" and info["n_trees"] == 3
-    assert info["max_tree_depth"] <= 4
+    assert model.kind is ModelKind.RANDOM_FOREST and model.n_trees == 3
+    assert len(model.nodes.roots) == 3 and model.nodes.roots[0] == 0
+    assert model.nodes.max_depth() <= 4
