@@ -14,6 +14,7 @@ file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
-from . import data, experiments, fra, importance, index, models, reports
+from . import data, experiments, fra, importance, index, indicators, models, reports
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
@@ -47,6 +48,13 @@ class RunConfig:
     index_params: index.IndexParams = field(default_factory=index.IndexParams)
     jobs: int = 1
 
+    def __post_init__(self):
+        # a lone observed value is a constant run of 1, so 1 would drop every column
+        if self.flat_run_max < 2:
+            raise ValueError(f"flat_run_max must be >= 2, got {self.flat_run_max}")
+        if not 0.0 <= self.missing_ratio_max <= 1.0:
+            raise ValueError(f"missing_ratio_max must be in [0, 1], got {self.missing_ratio_max}")
+
 
 _PARAM_KEYS = {"kind", "n_estimators", "max_depth", "min_samples_split",
                "min_samples_leaf", "features_per_split", "learning_rate", "bootstrap"}
@@ -65,14 +73,48 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} at {where}")
 
 
-def _parse_params(doc: dict, where: str, kind: ModelKind) -> EnsembleParams:
-    _check_keys(doc, _PARAM_KEYS, where)
-    fields = dict(doc)
-    fields.pop("kind", None)
+def _section(doc: dict, key: str, allowed: set[str], where: str) -> dict:
+    """The object at doc[key], empty when absent, holding only `allowed` keys."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
+    _check_keys(section, allowed, where)
+    return section
+
+
+# JSON value accepted for each field annotation that a config key sets
+_FIELD_KINDS = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
+                "bool": ("true or false", (bool,)), "str": ("a string", (str,)),
+                "float | int | None": ("a number or null", (int, float, type(None)))}
+
+
+def _build(cls, doc: dict, where: str, **given):
+    """cls(**given, **doc values of cls's other fields); a field absent from doc keeps its default.
+
+    Each doc value must have the JSON type of its field, and the range
+    checks of cls.__post_init__ report as a ConfigError naming `where`.
+    """
+    values = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.name in given or f.name not in doc:
+            continue
+        value = doc[f.name]
+        kind, types = _FIELD_KINDS[f.type]
+        # bool is a subclass of int, so true/false pass as a number unless excluded
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ConfigError(f"bad value for {f.name!r} at {where}: expected {kind}, got {value!r}")
+        values[f.name] = value
     try:
-        return EnsembleParams(kind=kind, **fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model parameters at {where}: {exc}") from exc
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"bad value at {where}: {exc}") from exc
+
+
+def _parse_params(fra_doc: dict, key: str, kind: ModelKind) -> EnsembleParams | None:
+    if key not in fra_doc:
+        return None
+    where = f"fra.{key}"
+    return _build(EnsembleParams, _section(fra_doc, key, _PARAM_KEYS, where), where, kind=kind)
 
 
 def _distinct_years(periods: tuple[date, ...], where: str) -> tuple[date, ...]:
@@ -102,33 +144,11 @@ def load_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"missing required key {key!r} at config root")
 
     base = path.parent
-    fra_doc = doc.get("fra", {})
-    _check_keys(fra_doc, _FRA_KEYS, "fra")
-    rf_params = _parse_params(fra_doc["rf"], "fra.rf", ModelKind.RANDOM_FOREST) if "rf" in fra_doc else None
-    gbt_params = _parse_params(fra_doc["gbt"], "fra.gbt", ModelKind.GRADIENT_BOOST) if "gbt" in fra_doc else None
-    try:
-        fra_config = FraConfig(
-            target_count=fra_doc.get("target_count", 100),
-            corr_start=fra_doc.get("corr_start", 0.5),
-            corr_step=fra_doc.get("corr_step", 0.025),
-            top_k_union=fra_doc.get("top_k_union", 75),
-            tune_first=fra_doc.get("tune_first", False),
-            cv_folds=fra_doc.get("cv_folds", 5),
-            pfi_repeats=fra_doc.get("pfi_repeats", 3),
-            max_iterations=fra_doc.get("max_iterations", 200),
-            rf_params=rf_params,
-            gbt_params=gbt_params,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad value at fra: {exc}") from exc
-
-    shap_doc = doc.get("shapley", {})
-    _check_keys(shap_doc, _SHAP_KEYS, "shapley")
-    shapley = ShapleySettings(
-        n_permutations=shap_doc.get("n_permutations", 50),
-        background_rows=shap_doc.get("background_rows", 50),
-        explain_rows=shap_doc.get("explain_rows", 25),
-    )
+    fra_doc = _section(doc, "fra", _FRA_KEYS, "fra")
+    fra_config = _build(FraConfig, fra_doc, "fra",
+                        rf_params=_parse_params(fra_doc, "rf", ModelKind.RANDOM_FOREST),
+                        gbt_params=_parse_params(fra_doc, "gbt", ModelKind.GRADIENT_BOOST))
+    shapley = _build(ShapleySettings, _section(doc, "shapley", _SHAP_KEYS, "shapley"), "shapley")
 
     try:
         periods = tuple(date.fromisoformat(p) for p in doc.get("periods", ["2017-01-01", "2019-01-01"]))
@@ -139,41 +159,22 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"windows must be >= 1, got {windows}")
     _distinct_years(periods, "periods")
 
-    pipeline = PipelineConfig(
-        target_metric=doc.get("target_metric", "crypto100"),
-        indicator_sources=tuple(doc.get("indicator_sources", ["close-price", "market-cap", "volume"])),
-        indicator_windows=tuple(doc.get("indicator_windows", [5, 10, 14, 20, 30, 100, 200])),
-        fra=fra_config,
-        holdout_fraction=float(doc.get("holdout_fraction", 0.2)),
-        shapley=shapley,
-        seed=int(doc.get("seed", 0)),
-    )
+    given = {key: tuple(doc[key]) for key in ("indicator_sources", "indicator_windows") if key in doc}
+    pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
     index_params = index.IndexParams()
     if "index" in doc:
-        _check_keys(doc["index"], _INDEX_KEYS, "index")
-        if "mcaps" not in doc["index"]:
-            raise ConfigError("index section needs an 'mcaps' path")
-        index_input = base / doc["index"]["mcaps"]
-        try:
-            index_params = index.IndexParams(top_n=doc["index"].get("top_n", 100),
-                                             power=doc["index"].get("power", 7))
-        except ValueError as exc:
-            raise ConfigError(f"bad value at index: {exc}") from exc
+        index_doc = _section(doc, "index", _INDEX_KEYS, "index")
+        if not isinstance(index_doc.get("mcaps"), str):
+            raise ConfigError(f"index section needs an 'mcaps' path, got {index_doc.get('mcaps')!r}")
+        index_input = base / index_doc["mcaps"]
+        index_params = _build(index.IndexParams, index_doc, "index")
 
-    return RunConfig(
-        manifest=base / doc["manifest"],
-        output_dir=base / doc["output_dir"],
-        seed=pipeline.seed,
-        periods=periods,
-        windows=windows,
-        flat_run_max=int(doc.get("flat_run_max", 60)),
-        missing_ratio_max=float(doc.get("missing_ratio_max", 0.20)),
-        pipeline=pipeline,
-        index_input=index_input,
-        index_params=index_params,
-    )
+    return _build(RunConfig, doc, "config root",
+                  manifest=base / doc["manifest"], output_dir=base / doc["output_dir"],
+                  seed=pipeline.seed, periods=periods, windows=windows, pipeline=pipeline,
+                  index_input=index_input, index_params=index_params)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -216,7 +217,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _prepare_corpus(cfg: RunConfig):
-    """Load, optionally inject the computed index series, and clean."""
+    """Load, optionally inject the computed index series, clean, and add the indicators."""
     corpus = data.load_corpus(cfg.manifest)
     index_rows = None
     if cfg.index_input is not None:
@@ -233,6 +234,10 @@ def _prepare_corpus(cfg: RunConfig):
         corpus = {k: corpus[k] for k in sorted(corpus)}
     cleaned, drop_log, imputed = data.clean_corpus(
         corpus, flat_run_max=cfg.flat_run_max, missing_ratio_max=cfg.missing_ratio_max)
+    pipeline = cfg.pipeline
+    if pipeline.indicator_sources:
+        battery = indicators.default_battery(pipeline.indicator_sources, pipeline.indicator_windows)
+        cleaned = indicators.augment_corpus(cleaned, battery)
     return cleaned, drop_log, imputed, index_rows
 
 

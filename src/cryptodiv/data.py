@@ -1,10 +1,12 @@
 """Corpus ingestion, cleaning, and per-scenario dataset construction.
 
-A corpus is a dict of named daily metric series, each tagged with a source
-category. Cleaning is a fixed pipeline: dedupe -> forward-fill traditional
-market indices onto the daily grid -> drop degenerate columns -> linear
-interpolation of interior gaps. Scenario datasets are then sliced from the
-cleaned corpus with a shifted future-index target.
+A raw corpus is a dict of named metric series, each on its own calendar and
+tagged with a source category. Cleaning is a fixed pipeline: dedupe ->
+forward-fill traditional market indices onto the daily grid -> align every
+series on one daily calendar -> drop degenerate columns -> linear
+interpolation of interior gaps. The cleaned corpus is a Dataset on that
+calendar; scenario datasets are row slices of it with a shifted future-index
+target.
 """
 
 from __future__ import annotations
@@ -67,14 +69,6 @@ class MetricSeries:
     def points(self) -> list[tuple[date, float | None]]:
         return [(d, None if np.isnan(v) else float(v))
                 for d, v in zip(self.dates, self.values)]
-
-    def first_valid_date(self) -> date | None:
-        idx = np.flatnonzero(~np.isnan(self.values))
-        return self.dates[idx[0]] if idx.size else None
-
-    def last_valid_date(self) -> date | None:
-        idx = np.flatnonzero(~np.isnan(self.values))
-        return self.dates[idx[-1]] if idx.size else None
 
     def value_map(self) -> dict[date, float]:
         """Date -> value for the observed (non-missing) points."""
@@ -339,30 +333,23 @@ def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
     return replace(daily, values=values[source]), filled
 
 
-def interpolate_fill(series: MetricSeries) -> MetricSeries:
-    """Linearly interpolate interior missing values on the daily calendar.
+def interpolate_fill(values: np.ndarray) -> np.ndarray:
+    """Linearly interpolate the interior gaps of one column on the daily calendar.
 
-    Leading and trailing gaps are never filled; they are handled later by
-    slice_period / drop_degenerate. The dates must be strictly ascending
-    (ValueError).
+    Leading and trailing gaps are never filled; slice_period handles them.
+    Returns `values` itself when there is nothing to fill.
     """
-    daily = _to_daily_grid(series)
-    values = daily.values
-    missing = np.isnan(values)
-    if not missing.any():
-        return daily
-    valid = np.flatnonzero(~missing)
+    interior = np.isnan(values)
+    valid = np.flatnonzero(~interior)
     if valid.size == 0:
-        return daily
-    lo, hi = valid[0], valid[-1]
-    interior = missing.copy()
-    interior[:lo] = False
-    interior[hi + 1:] = False
+        return values
+    interior[:valid[0]] = False
+    interior[valid[-1] + 1:] = False
     if not interior.any():
-        return daily
+        return values
     out = values.copy()
     out[interior] = np.interp(np.flatnonzero(interior), valid, values[valid])
-    return replace(daily, values=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +429,13 @@ def clean_corpus(
     corpus: Mapping[str, MetricSeries],
     flat_run_max: int = 60,
     missing_ratio_max: float = 0.20,
-) -> tuple[dict[str, MetricSeries], list[DropRecord], dict[str, int]]:
+) -> tuple[Dataset, list[DropRecord], dict[str, int]]:
     """Run the full cleaning pipeline over a raw corpus.
 
-    Returns the cleaned corpus (every series on the common daily calendar,
-    interior gaps interpolated), the drop log, and a per-series count of
-    forward-filled days for traditional index series.
+    Returns the cleaned corpus, the drop log, and a per-series count of
+    forward-filled days for traditional index series. The cleaned corpus is
+    a Dataset on the common daily calendar whose read-only columns are NaN
+    only before their first or after their last observation.
     """
     imputed: dict[str, int] = {}
     prepared: dict[str, MetricSeries] = {}
@@ -462,10 +450,10 @@ def clean_corpus(
     grid, columns = align_calendar(prepared)
     kept, drop_log = drop_degenerate(columns, flat_run_max, missing_ratio_max)
 
-    cleaned: dict[str, MetricSeries] = {}
-    for name, col in kept.items():
-        series = MetricSeries(name, prepared[name].category, grid, col)
-        cleaned[name] = interpolate_fill(series)
+    features = {name: interpolate_fill(col) for name, col in kept.items()}
+    for col in features.values():
+        col.flags.writeable = False
+    cleaned = Dataset(grid, features, {name: prepared[name].category for name in features})
     return cleaned, drop_log, imputed
 
 
@@ -473,42 +461,23 @@ def clean_corpus(
 # scenario datasets
 # ---------------------------------------------------------------------------
 
-def slice_period(corpus: Mapping[str, MetricSeries], scenario: Scenario) -> Dataset:
+def slice_period(corpus: Dataset, scenario: Scenario) -> Dataset:
     """Restrict a cleaned corpus to [period_start, corpus end].
 
-    Metrics whose first observed value falls after the period start are
-    excluded from the set, as are metrics with any missing value inside the
-    slice (e.g. discontinued feeds).
+    A column is kept only if it has no missing value inside the slice. That
+    excludes metrics first observed after the period start, indicators still
+    in their warm-up, and discontinued feeds.
     """
-    if not corpus:
+    if not corpus.features:
         raise ValueError("empty corpus")
-    any_series = next(iter(corpus.values()))
-    grid = any_series.dates
+    grid = corpus.dates
     if not grid:
         raise ValueError("corpus has no dates")
     if scenario.period_start > grid[-1] or scenario.period_start < grid[0]:
         raise ValueError(
             f"period start {scenario.period_start} outside corpus range {grid[0]}..{grid[-1]}")
-    start_idx = (scenario.period_start - grid[0]).days
-    dates = grid[start_idx:]
-    if not dates:
-        raise ValueError("empty date range after slicing")
-
-    features: dict[str, np.ndarray] = {}
-    categories: dict[str, Category] = {}
-    for name in sorted(corpus):
-        series = corpus[name]
-        if series.dates != grid:
-            raise ValueError(f"{name}: series not aligned to the corpus calendar")
-        first = series.first_valid_date()
-        if first is None or first > scenario.period_start:
-            continue
-        col = series.values[start_idx:]
-        if np.isnan(col).any():
-            continue
-        features[name] = col
-        categories[name] = series.category
-    return Dataset(dates=dates, features=features, categories=categories)
+    sliced = corpus.rows((scenario.period_start - grid[0]).days, corpus.n_rows)
+    return sliced.select(n for n, col in sliced.features.items() if not np.isnan(col).any())
 
 
 def make_target(dataset: Dataset, index_price: MetricSeries, window: int) -> Dataset:

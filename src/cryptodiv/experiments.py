@@ -19,7 +19,6 @@ import numpy as np
 from .data import Category, Dataset, MetricSeries, Scenario, chronological_split, make_target, slice_period
 from .fra import FinalVector, FraConfig, ReducedFeatureSet, final_vector, fra_reduce
 from .importance import mdi, shapley_sampled
-from .indicators import default_battery, augment_corpus
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
 
@@ -43,10 +42,19 @@ class ShapleySettings:
     background_rows: int = 50
     explain_rows: int = 25
 
+    def __post_init__(self):
+        for name in ("n_permutations", "background_rows", "explain_rows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything run_scenario needs besides the corpus and the cell itself."""
+    """Everything a run needs besides the corpus and the cells.
+
+    The indicator settings apply once, when the corpus is prepared; the rest
+    configure run_scenario.
+    """
 
     target_metric: str = "crypto100"
     indicator_sources: tuple[str, ...] = ("close-price", "market-cap", "volume")
@@ -55,6 +63,10 @@ class PipelineConfig:
     holdout_fraction: float = 0.2
     shapley: ShapleySettings = field(default_factory=ShapleySettings)
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -206,33 +218,27 @@ def scenario_seed(config_seed: int, scenario: Scenario) -> int:
                        scenario.window)
 
 
-def prepare_dataset(corpus: Mapping[str, MetricSeries], scenario: Scenario,
-                    config: PipelineConfig) -> Dataset:
-    """Indicator augmentation, period slice, and target attachment for one cell.
+def prepare_dataset(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> Dataset:
+    """Period slice and target attachment for one cell of the prepared corpus.
 
-    Indicators are computed over each source's full history before slicing
-    so their warm-up uses data from before the period start and never
-    introduces missing rows inside the slice.
+    The corpus already holds its indicators, computed over each source's
+    full history, so their warm-up uses data from before the period start
+    and never introduces missing rows inside the slice.
     """
-    if config.indicator_sources:
-        battery = default_battery(config.indicator_sources, config.indicator_windows)
-        corpus = augment_corpus(corpus, battery)
-    if config.target_metric not in corpus:
-        raise ValueError(f"target metric {config.target_metric!r} not in corpus")
-    index_price = corpus[config.target_metric]
+    target = config.target_metric
+    if target not in corpus.features:
+        raise ValueError(f"target metric {target!r} not in corpus")
+    index_price = MetricSeries(target, corpus.categories[target], corpus.dates,
+                               corpus.features[target])
     dataset = slice_period(corpus, scenario)
-    features = {n: v for n, v in dataset.features.items() if n != config.target_metric}
+    features = [n for n in dataset.feature_names if n != target]
     if not features:
         raise ValueError("no candidate features besides the target metric")
-    dataset = Dataset(
-        dates=dataset.dates, features=features,
-        categories={n: c for n, c in dataset.categories.items() if n in features})
-    return make_target(dataset, index_price, scenario.window)
+    return make_target(dataset.select(features), index_price, scenario.window)
 
 
-def run_scenario(corpus: Mapping[str, MetricSeries], scenario: Scenario,
-                 config: PipelineConfig) -> ScenarioResult:
-    """Execute the full pipeline for one cell and collect every analysis."""
+def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:
+    """Execute the full pipeline for one cell of the prepared corpus."""
     label = scenario.label
     seed = scenario_seed(config.seed, scenario)
 

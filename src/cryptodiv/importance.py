@@ -34,10 +34,6 @@ class ImportanceReport:
         """Features by descending score; ties by ascending name."""
         return sorted(self.scores, key=lambda f: (-self.scores[f], f))
 
-    def rank_of(self, feature: str) -> int:
-        """1-based position in the ranking."""
-        return self.ranking.index(feature) + 1
-
     def to_csv(self) -> str:
         lines = ["feature,score,rank,method"]
         for rank, feature in enumerate(self.ranking, start=1):

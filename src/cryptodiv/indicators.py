@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Category, MetricSeries
+from .data import Category, Dataset
 
 
 class IndicatorKind(Enum):
@@ -147,27 +147,28 @@ def default_battery(sources: Iterable[str], windows: Sequence[int] = DEFAULT_WIN
     return specs
 
 
-def augment_corpus(corpus: Mapping[str, MetricSeries], specs: Sequence[IndicatorSpec]
-                   ) -> dict[str, MetricSeries]:
-    """Add indicator series (Technical category) derived from corpus metrics.
+def augment_corpus(corpus: Dataset, specs: Sequence[IndicatorSpec]) -> Dataset:
+    """Add read-only indicator columns (Technical category) derived from corpus metrics.
 
     Indicators are computed over each source's full history so warm-up
     draws on data before any period start. Specs whose source metric is not
     in the corpus are skipped; name collisions are an error.
     """
-    out = dict(corpus)
+    features, categories = dict(corpus.features), dict(corpus.categories)
     for spec in specs:
-        source = corpus.get(spec.source)
+        source = corpus.features.get(spec.source)
         if source is None:
             continue
-        valid = np.flatnonzero(~np.isnan(source.values))
+        valid = np.flatnonzero(~np.isnan(source))
         if valid.size == 0:
             continue
         lo, hi = int(valid[0]), int(valid[-1]) + 1
-        for name, span_values in apply_spec(spec, source.values[lo:hi]).items():
-            if name in out:
+        for name, span_values in apply_spec(spec, source[lo:hi]).items():
+            if name in features:
                 raise ValueError(f"indicator column {name!r} collides with an existing metric")
-            values = np.full(len(source.values), np.nan)
+            values = np.full(len(source), np.nan)
             values[lo:hi] = span_values
-            out[name] = MetricSeries(name, Category.TECHNICAL, source.dates, values)
-    return {name: out[name] for name in sorted(out)}
+            values.flags.writeable = False
+            features[name] = values
+            categories[name] = Category.TECHNICAL
+    return Dataset(corpus.dates, features, categories)

@@ -93,8 +93,11 @@ class _NodeTable:
         def shifted(column: str) -> np.ndarray:
             return np.concatenate([getattr(t, column) + off for t, off in zip(tables, offsets)])
 
-        return cls(stacked("feature"), stacked("threshold"), shifted("left"), shifted("right"),
-                   stacked("value"), stacked("n_samples"), stacked("impurity"), offsets)
+        table = cls(stacked("feature"), stacked("threshold"), shifted("left"), shifted("right"),
+                    stacked("value"), stacked("n_samples"), stacked("impurity"), offsets)
+        for column in vars(table).values():
+            column.flags.writeable = False
+        return table
 
     def leaves(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Leaf reached by each row of X from the start nodes `node`.
@@ -122,7 +125,7 @@ class _NodeTable:
         return depth
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeEnsemble:
     """A fitted forest or boosting stack; immutable after fitting."""
 

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from cryptodiv.data import Category, MetricSeries
+from cryptodiv.data import Category, Dataset
 
 
 def _signal(rng, n, period):
@@ -16,26 +16,24 @@ def _signal(rng, n, period):
 
 def diversity_corpus(seed, n_days=650, window=7, n_a=5, n_b=5, start=date(2019, 1, 1),
                      noise_scale=0.2):
-    """Two-category corpus whose target mixes both categories.
+    """Two-category prepared corpus whose target mixes both categories.
 
     index[t] = g(A[t-w]) + h(B[t-w]) + noise, so with prediction window w the
     target column is g(A[t]) + h(B[t]) + noise: both categories carry signal
-    that the other cannot explain.
+    that the other cannot explain. The corpus has no gaps, so it is already
+    what cleaning would return.
     """
     rng = np.random.default_rng(seed)
-    dates = [start + timedelta(days=i) for i in range(n_days)]
-    corpus = {}
+    features, categories = {}, {}
     a_cols, b_cols = [], []
     for i in range(n_a):
         col = _signal(rng, n_days, period=rng.integers(20, 90))
         a_cols.append(col)
-        name = f"chain_{i:02d}"
-        corpus[name] = MetricSeries(name, Category.ONCHAIN_BTC, tuple(dates), col)
+        features[f"chain_{i:02d}"], categories[f"chain_{i:02d}"] = col, Category.ONCHAIN_BTC
     for i in range(n_b):
         col = _signal(rng, n_days, period=rng.integers(20, 90))
         b_cols.append(col)
-        name = f"macro_{i:02d}"
-        corpus[name] = MetricSeries(name, Category.MACRO, tuple(dates), col)
+        features[f"macro_{i:02d}"], categories[f"macro_{i:02d}"] = col, Category.MACRO
 
     g = 2.0 * a_cols[0] + 1.5 * a_cols[1] + a_cols[2]
     h = 2.0 * b_cols[0] + 1.5 * b_cols[1] + b_cols[2]
@@ -43,8 +41,9 @@ def diversity_corpus(seed, n_days=650, window=7, n_a=5, n_b=5, start=date(2019, 
     index[:window] = rng.normal(scale=noise_scale, size=window)
     index[window:] = (g[:-window] + h[:-window]
                       + rng.normal(scale=noise_scale, size=n_days - window))
-    corpus["idx"] = MetricSeries("idx", Category.MARKET, tuple(dates), index)
-    return {k: corpus[k] for k in sorted(corpus)}
+    features["idx"], categories["idx"] = index, Category.MARKET
+    dates = tuple(start + timedelta(days=i) for i in range(n_days))
+    return Dataset(dates, features, categories)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import math
 import shutil
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
-from cryptodiv.cli import main
+from cryptodiv import indicators
+from cryptodiv.cli import ConfigError, load_run_config, main
 
 from synthetic import write_corpus, write_run_config
 
@@ -132,6 +134,24 @@ def test_run_jobs_2_matches_jobs_1(tmp_path):
     assert a == b
 
 
+def test_run_augments_corpus_once(tmp_path, monkeypatch):
+    calls = []
+    original = indicators.augment_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every cryptodiv module that bound the function by name calls the counter
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "cryptodiv"]:
+        if getattr(module, "augment_corpus", None) is original:
+            monkeypatch.setattr(module, "augment_corpus", counting)
+    config, out_dir, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config), "--jobs", "2"]) == 0
+    assert len(list((out_dir / "scenarios").glob("*.json"))) == 4
+    assert len(calls) == 1
+
+
 def test_run_emits_expected_artifacts(tmp_path):
     config, out_dir, _ = small_setup(tmp_path, seed=1)
     assert main(["run", "--config", str(config)]) == 0
@@ -254,3 +274,37 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "stage prepare" in err and "no-such-series" in err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("fra", "target_count"), "100", "'target_count' at fra"),
+    (("fra",), [], "fra must be an object"),
+    (("fra", "rf"), 3, "fra.rf must be an object"),
+    (("seed",), "abc", "'seed' at config root"),
+    (("seed",), True, "'seed' at config root"),
+    (("holdout_fraction",), 1.5, "holdout_fraction must be in"),
+    (("shapley", "n_permutations"), 0, "n_permutations must be >= 1"),
+    (("shapley", "background_rows"), 0, "background_rows must be >= 1"),
+    (("shapley", "explain_rows"), 0, "explain_rows must be >= 1"),
+    (("flat_run_max",), 0, "flat_run_max must be >= 2"),
+    (("missing_ratio_max",), -0.1, "missing_ratio_max must be in"),
+    (("missing_ratio_max",), 1.5, "missing_ratio_max must be in"),
+    (("index",), {"mcaps": 5}, "needs an 'mcaps' path"),
+], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
+        "permutations", "background", "explain", "flat-run", "missing-negative",
+        "missing-above-one", "mcaps-number"])
+def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
+    out_dir = tmp_path / "out"
+    config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)
+    doc = json.loads(config.read_text())
+    *parents, key = path
+    section = doc
+    for parent in parents:
+        section = section[parent]
+    section[key] = value
+    config.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=named):
+        load_run_config(config)
+    assert main(["run", "--config", str(config)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out_dir.exists()

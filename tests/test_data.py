@@ -10,6 +10,7 @@ from cryptodiv.data import (Category, Dataset, ManifestError, MetricSeries, Scen
                             align_calendar, chronological_split, clean_corpus, dedupe,
                             drop_degenerate, forward_fill, interpolate_fill, load_corpus,
                             make_target, slice_period)
+from cryptodiv.indicators import IndicatorKind, IndicatorSpec, augment_corpus
 
 from conftest import series_from
 
@@ -156,42 +157,41 @@ def test_dedupe_idempotent(pairs):
 # interpolate_fill
 # ---------------------------------------------------------------------------
 
-def test_interpolate_midpoint(make_series):
-    series = make_series("m", [1.0, None, 3.0])
-    assert interpolate_fill(series).points == [
-        (series.dates[0], 1.0), (series.dates[1], 2.0), (series.dates[2], 3.0)]
+def test_interpolate_midpoint():
+    assert interpolate_fill(np.array([1.0, np.nan, 3.0])).tolist() == [1.0, 2.0, 3.0]
 
 
-def test_interpolate_no_gaps_unchanged(make_series):
-    series = make_series("m", [1.0, 2.0, 3.0])
-    assert interpolate_fill(series).points == series.points
+def test_interpolate_no_gaps_unchanged():
+    col = np.array([1.0, 2.0, 3.0])
+    assert interpolate_fill(col) is col
 
 
 def test_interpolate_three_day_gap_linear(day):
-    # days 0 and 4 observed with values 0 and 4: closed form gives 1, 2, 3
-    series = MetricSeries.from_points("m", Category.MACRO, [(day(0), 0.0), (day(4), 4.0)])
-    out = interpolate_fill(series)
-    assert [v for _, v in out.points] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    # days 0 and 4 observed with values 0 and 4: cleaning expands the calendar
+    # to five days and the closed form gives 1, 2, 3 in between
+    raw = {"m": MetricSeries.from_points("m", Category.MACRO, [(day(0), 0.0), (day(4), 4.0)])}
+    cleaned, drop_log, _ = clean_corpus(raw, missing_ratio_max=1.0)
+    assert drop_log == []
+    assert cleaned.dates == tuple(day(i) for i in range(5))
+    assert cleaned.features["m"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
-def test_interpolate_leaves_leading_trailing_gaps(make_series):
-    series = make_series("m", [None, 1.0, None, 3.0, None])
-    out = interpolate_fill(series)
-    assert [v for _, v in out.points] == [None, 1.0, 2.0, 3.0, None]
+def test_interpolate_leaves_leading_trailing_gaps():
+    out = interpolate_fill(np.array([np.nan, 1.0, np.nan, 3.0, np.nan]))
+    assert np.array_equal(out, [np.nan, 1.0, 2.0, 3.0, np.nan], equal_nan=True)
 
 
-def test_interpolate_idempotent(make_series):
-    series = make_series("m", [None, 1.0, None, None, 5.0, 2.0, None])
-    once = interpolate_fill(series)
-    assert interpolate_fill(once).points == once.points
+def test_interpolate_idempotent():
+    once = interpolate_fill(np.array([np.nan, 1.0, np.nan, np.nan, 5.0, 2.0, np.nan]))
+    assert np.array_equal(interpolate_fill(once), once, equal_nan=True)
 
 
 @pytest.mark.parametrize("offsets", [(1, 0, 4), (4, 2, 0), (0, 0, 2)],
                          ids=["earlier-inside-span", "descending", "repeated"])
 @pytest.mark.parametrize("kernel", [
-    forward_fill, interpolate_fill,
+    forward_fill,
     lambda s: align_calendar({"a": MetricSeries("a", s.category, (), np.array([])), s.name: s})],
-    ids=["forward_fill", "interpolate_fill", "align_calendar"])
+    ids=["forward_fill", "align_calendar"])
 def test_fill_kernels_reject_unsorted_dates(day, offsets, kernel):
     series = MetricSeries("x", Category.TRADITIONAL_INDEX, tuple(day(o) for o in offsets),
                           np.array([2.0, 1.0, 5.0]))
@@ -303,6 +303,43 @@ def test_slice_period_late_start_column_count():
     assert len(set_2019.features) == len(set_2017.features) + 10
 
 
+def test_slice_period_keeps_exactly_the_columns_complete_from_the_start(day):
+    n = 60
+    full = np.arange(n, dtype=float) % 7
+    late = full.copy()
+    late[:20] = np.nan          # first observed on day 20
+    trailing = full.copy()
+    trailing[50:] = np.nan      # discontinued after day 49
+    corpus = Dataset(tuple(day(i) for i in range(n)),
+                     {"full": full, "late": late, "trailing": trailing},
+                     {name: Category.MACRO for name in ("full", "late", "trailing")})
+    # SMA10 is in its warm-up, NaN, on days 0..8
+    corpus = augment_corpus(corpus, [IndicatorSpec(IndicatorKind.SMA, 10, "full")])
+    for start in range(n):
+        ds = slice_period(corpus, Scenario(day(start), 1))
+        complete = {name for name, col in corpus.features.items()
+                    if not np.isnan(col[start:]).any()}
+        assert set(ds.feature_names) == complete
+        assert ds.dates == corpus.dates[start:]
+        for name in complete:
+            assert np.array_equal(ds.features[name], corpus.features[name][start:])
+    kept = {start: set(slice_period(corpus, Scenario(day(start), 1)).feature_names)
+            for start in (8, 9, 19, 20)}
+    assert kept == {8: {"full"}, 9: {"full", "SMA10_full"}, 19: {"full", "SMA10_full"},
+                    20: {"full", "SMA10_full", "late"}}
+
+
+def test_prepared_corpus_columns_are_read_only(make_series):
+    raw = {"gappy": make_series("gappy", [1.0, None, 3.0, 4.0, 2.0]),
+           "whole": make_series("whole", [5.0, 1.0, 2.0, 4.0, 3.0])}
+    cleaned, _, _ = clean_corpus(raw, missing_ratio_max=1.0)
+    corpus = augment_corpus(cleaned, [IndicatorSpec(IndicatorKind.SMA, 2, "whole")])
+    assert corpus.feature_names == ("SMA2_whole", "gappy", "whole")
+    for col in corpus.features.values():
+        with pytest.raises(ValueError, match="read-only"):
+            col[-1] = 0.0
+
+
 def test_slice_period_out_of_range(make_series):
     corpus = _cleaned_corpus([make_series("m", [float(i % 7) for i in range(100)])])
     with pytest.raises(ValueError, match="outside corpus range"):
@@ -412,9 +449,8 @@ def test_clean_corpus_forward_fills_trad_index(day):
     cleaned, drop_log, imputed = clean_corpus(raw)
     assert drop_log == []
     assert imputed.get("QQQ_Close", 0) > 0
-    series = cleaned["QQQ_Close"]
-    by_date = dict(series.points)
+    by_date = dict(zip(cleaned.dates, cleaned.features["QQQ_Close"]))
     # first Saturday carries Friday's value
-    saturday = next(d for d, _ in series.points if d.weekday() == 5)
+    saturday = next(d for d in cleaned.dates if d.weekday() == 5)
     friday = saturday - timedelta(days=1)
     assert by_date[saturday] == by_date[friday]

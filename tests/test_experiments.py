@@ -228,21 +228,21 @@ def test_run_scenario_planted_category_dominates_contribution():
     rng = np.random.default_rng(12)
     n = 500
     dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(n))
-    from cryptodiv.data import MetricSeries
-    corpus = {}
+    features, categories = {}, {}
     a_cols = []
     for i in range(4):
         col = np.sin(2 * np.pi * np.arange(n) / (25 + 12 * i)) + 0.2 * rng.normal(size=n)
         a_cols.append(col)
-        corpus[f"sig_{i}"] = MetricSeries(f"sig_{i}", Category.ONCHAIN_BTC, dates, col)
+        features[f"sig_{i}"], categories[f"sig_{i}"] = col, Category.ONCHAIN_BTC
     for i in range(4):
-        corpus[f"noise_{i}"] = MetricSeries(f"noise_{i}", Category.SENTIMENT_INTEREST,
-                                            dates, rng.normal(size=n))
+        features[f"noise_{i}"] = rng.normal(size=n)
+        categories[f"noise_{i}"] = Category.SENTIMENT_INTEREST
     w = 7
     index = np.empty(n)
     index[:w] = 0.0
     index[w:] = 2 * a_cols[0][:-w] + a_cols[1][:-w] + 0.1 * rng.normal(size=n - w)
-    corpus["idx"] = MetricSeries("idx", Category.MARKET, dates, index)
+    features["idx"], categories["idx"] = index, Category.MARKET
+    corpus = Dataset(dates, features, categories)
 
     result = run_scenario(corpus, Scenario(date(2019, 1, 1), w), fast_config(seed=3, target_count=4))
     factors = result.contribution_factors

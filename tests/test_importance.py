@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,9 +154,12 @@ def test_mdi_rejects_inconsistent_node_counts():
     rng = np.random.default_rng(22)
     X = rng.normal(size=(60, 3))
     model = fit_forest(X, X[:, 0], EnsembleParams(n_estimators=2, max_depth=3), seed=0)
-    model.nodes.n_samples[model.nodes.left[0]] += 1
+    n_samples = model.nodes.n_samples.copy()
+    n_samples[model.nodes.left[0]] += 1
+    corrupted = dataclasses.replace(
+        model, nodes=dataclasses.replace(model.nodes, n_samples=n_samples))
     with pytest.raises(ValueError, match="missing per-node statistics"):
-        mdi(model)
+        mdi(corrupted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -357,3 +359,15 @@ def test_summary_shape():
     assert model.kind is ModelKind.RANDOM_FOREST and model.n_trees == 3
     assert len(model.nodes.roots) == 3 and model.nodes.roots[0] == 0
     assert model.nodes.max_depth() <= 4
+
+
+@pytest.mark.parametrize("fit", [fit_forest, fit_gbt], ids=["rf", "gbt"])
+def test_fitted_ensemble_is_read_only(fit):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(40, 3))
+    model = fit(X, X[:, 0], EnsembleParams(n_estimators=2, max_depth=3), seed=0)
+    for column in vars(model.nodes).values():
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.base_value = 1.0
