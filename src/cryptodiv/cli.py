@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
@@ -159,7 +158,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"windows must be >= 1, got {windows}")
     _distinct_years(periods, "periods")
 
-    given = {key: tuple(doc[key]) for key in ("indicator_sources", "indicator_windows") if key in doc}
+    given = {}
+    for key, kind, valid in (("indicator_sources", "a list of strings", lambda v: isinstance(v, str)),
+                             ("indicator_windows", "a list of integers >= 1",
+                              lambda v: type(v) is int and v >= 1)):
+        if key in doc:
+            if not isinstance(doc[key], list) or not all(map(valid, doc[key])):
+                raise ConfigError(f"bad value for {key!r} at config root: expected {kind}, "
+                                  f"got {doc[key]!r}")
+            given[key] = tuple(doc[key])
     pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
@@ -189,7 +196,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             tuple(date.fromisoformat(p) for p in args.periods.split(",")), "--periods")
     if getattr(args, "windows", None):
         cfg.windows = tuple(int(w) for w in args.windows.split(","))
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg.jobs = args.jobs
     fra_changes = {}
     if getattr(args, "target_features", None) is not None:
@@ -232,9 +241,14 @@ def _prepare_corpus(cfg: RunConfig):
             [v for _, _, v in index_rows],
         )
         corpus = {k: corpus[k] for k in sorted(corpus)}
+    pipeline = cfg.pipeline
+    # a source that cleaning drops is skipped later, and drop_log.csv says why
+    unknown = sorted(set(pipeline.indicator_sources) - set(corpus))
+    if unknown:
+        raise ConfigError(f"indicator_sources names metric(s) {unknown} that are neither in the "
+                          f"manifest nor the index target")
     cleaned, drop_log, imputed = data.clean_corpus(
         corpus, flat_run_max=cfg.flat_run_max, missing_ratio_max=cfg.missing_ratio_max)
-    pipeline = cfg.pipeline
     if pipeline.indicator_sources:
         battery = indicators.default_battery(pipeline.indicator_sources, pipeline.indicator_windows)
         cleaned = indicators.augment_corpus(cleaned, battery)
@@ -297,29 +311,56 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
     return out
 
 
+# The prepared corpus and pipeline config of the run in progress. Forked
+# workers inherit them with the parent's memory, so the corpus is never pickled.
+_cell_inputs: tuple[data.Dataset, PipelineConfig] | None = None
+
+
+def _run_cell(scenario: Scenario) -> experiments.ScenarioResult | StageError:
+    """One cell's result, or the StageError it failed with."""
+    corpus, pipeline = _cell_inputs
+    try:
+        return experiments.run_scenario(corpus, scenario, pipeline)
+    except StageError as exc:
+        return exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    global _cell_inputs
     cfg = _apply_overrides(load_run_config(args.config), args)
     corpus, drop_log, imputed, index_rows = _prepare_corpus(cfg)
     scenarios = [Scenario(p, w) for p in cfg.periods for w in cfg.windows]
+    workers = min(cfg.jobs, len(scenarios))
 
-    def one(scenario: Scenario) -> experiments.ScenarioResult:
-        return experiments.run_scenario(corpus, scenario, cfg.pipeline)
-
+    _cell_inputs = (corpus, cfg.pipeline)
     try:
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(one, scenarios))
+        if workers > 1:
+            # Imported here: the import alone adds about 1 MB of resident
+            # memory to the runs and subcommands that start no pool.
+            import multiprocessing
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+            # tree fitting holds the GIL, so cells run in processes, not threads
+            try:
+                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                    outcomes = list(pool.map(_run_cell, scenarios))
+            except BrokenProcessPool as exc:
+                print(f"error: a scenario worker process died: {exc}", file=sys.stderr)
+                return 1
         else:
-            results = [one(s) for s in scenarios]
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            outcomes = list(map(_run_cell, scenarios))
+    finally:
+        _cell_inputs = None
+    results = [o for o in outcomes if not isinstance(o, StageError)]
+    failures = [o for o in outcomes if isinstance(o, StageError)]
 
     out = cfg.output_dir
     for result in results:
         reports.atomic_write_text(out / "scenarios" / f"{result.label}.json",
                                   experiments.result_to_json(result))
-    reports.write_tables(results, out / "tables")
+    if not failures:
+        # after a failure `cryptodiv report` renders the tables from the stored cells
+        reports.write_tables(results, out / "tables")
     reports.atomic_write_text(out / "drop_log.csv", reports.render_drop_log_csv(drop_log))
     if imputed:
         lines = ["metric,forward_filled_days"]
@@ -328,6 +369,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if index_rows is not None:
         reports.atomic_write_text(out / "index.csv",
                                   index.render_index_csv(index_rows, cfg.index_params.power))
+    for exc in failures:
+        print(f"error: {exc}", file=sys.stderr)
+    if failures:
+        return 1
     print(f"completed {len(results)} scenario(s); artifacts in {out}")
     return 0
 
@@ -466,9 +511,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, data.ManifestError, index.IndexDomainError,
             FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

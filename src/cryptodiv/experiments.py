@@ -35,6 +35,11 @@ class StageError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):
+        # a failed cell travels back from its worker process pickled; the
+        # default reduce would call __init__ with the message as the only argument
+        return type(self), (self.scenario_label, self.stage, self.cause)
+
 
 @dataclass(frozen=True)
 class ShapleySettings:

@@ -153,7 +153,9 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
             for r in range(repeats):
                 perm = substream(seed, "pfi", name, r).permutation(n)
                 X_work[:, j] = X[perm, j]
-                new_total = unaffected_total + sum(model.predict_tree(t, X_work) for t in affected)
+                # one routing pass for all affected trees; sum() then adds
+                # their rows in order, as one call per tree would
+                new_total = unaffected_total + sum(model.predict_tree(affected, X_work))
                 deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
             X_work[:, j] = X[:, j]
             scores[name] = float(np.mean(deltas))

@@ -152,20 +152,20 @@ class TreeEnsemble:
         return self.base_value + self.params.learning_rate * total
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(n_trees, n_rows), row t is tree t's output.
+        """(n_trees, n_rows), row t is tree t's output."""
+        return self.predict_tree(range(self.n_trees), X)
 
-        C order matters: pfi sums this over axis 0, which then adds the rows
+    def predict_tree(self, tree_indices: Sequence[int], X: np.ndarray) -> np.ndarray:
+        """(len(tree_indices), n_rows), row i is the output of tree tree_indices[i].
+
+        C order matters: pfi sums these over axis 0, which then adds the rows
         one after another; a transposed view would be summed pairwise and
         give different low bits.
         """
         X = np.asarray(X, dtype=np.float64)
-        start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
+        roots = self.nodes.roots[np.asarray(tree_indices, dtype=np.intp)]
+        start = np.broadcast_to(roots, (len(X), len(roots)))
         return np.ascontiguousarray(self.nodes.value[self.nodes.leaves(X, start)].T)
-
-    def predict_tree(self, tree_index: int, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        start = np.full(len(X), self.nodes.roots[tree_index])
-        return self.nodes.value[self.nodes.leaves(X, start)]
 
     def tree_feature_sets(self) -> list[np.ndarray]:
         """Feature indices each tree actually splits on."""

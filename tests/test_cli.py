@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import sys
 from datetime import date, timedelta
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cryptodiv import indicators
+from cryptodiv import experiments, indicators
 from cryptodiv.cli import ConfigError, load_run_config, main
+from cryptodiv.experiments import StageError
 
 from synthetic import write_corpus, write_run_config
 
@@ -152,6 +154,76 @@ def test_run_augments_corpus_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_cells_run_in_worker_processes(tmp_path, monkeypatch, jobs):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    original = experiments.run_scenario
+
+    def recording(corpus, scenario, config):
+        (pid_dir / scenario.label).write_text(str(os.getpid()))
+        return original(corpus, scenario, config)
+
+    # the workers are forked after the patch, so they run it too
+    monkeypatch.setattr(experiments, "run_scenario", recording)
+    config, _, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config), "--jobs", str(jobs)]) == 0
+    pids = {p.name: int(p.read_text()) for p in pid_dir.iterdir()}
+    assert sorted(pids) == ["2018_1", "2018_7", "2019_1", "2019_7"]
+    if jobs == 1:
+        assert set(pids.values()) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids.values() and len(set(pids.values())) <= 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_failed_cell_keeps_finished_cells(tmp_path, monkeypatch, capsys, jobs):
+    config, _, _ = small_setup(tmp_path)
+    complete, partial = tmp_path / "complete", tmp_path / "partial"
+    assert main(["run", "--config", str(config), "--out", str(complete)]) == 0
+    original = experiments.run_scenario
+
+    def failing(corpus, scenario, config):
+        if scenario.label == "2018_7":
+            raise StageError(scenario.label, "fra", ValueError("planted failure"))
+        return original(corpus, scenario, config)
+
+    monkeypatch.setattr(experiments, "run_scenario", failing)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(partial), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario 2018_7, stage fra: planted failure"]
+    expected = {k: v for k, v in tree_bytes(complete).items()
+                if k != "scenarios/2018_7.json" and not k.startswith("tables/")}
+    # the corpus logs are written, the finished cells are kept byte for byte, and
+    # tables/ is left for `cryptodiv report` to render from the stored cells
+    assert {"drop_log.csv", "imputation_log.csv"} <= expected.keys()
+    assert tree_bytes(partial) == expected
+
+
+def test_run_worker_death_is_one_error_line(tmp_path, monkeypatch, capsys):
+    original = experiments.run_scenario
+
+    def dying(corpus, scenario, config):
+        if scenario.label == "2018_7":
+            os._exit(3)
+        return original(corpus, scenario, config)
+
+    monkeypatch.setattr(experiments, "run_scenario", dying)
+    config, _, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "worker" in err[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    config, out_dir, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config), "--jobs", jobs]) == 1
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_emits_expected_artifacts(tmp_path):
     config, out_dir, _ = small_setup(tmp_path, seed=1)
     assert main(["run", "--config", str(config)]) == 0
@@ -290,9 +362,16 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("missing_ratio_max",), -0.1, "missing_ratio_max must be in"),
     (("missing_ratio_max",), 1.5, "missing_ratio_max must be in"),
     (("index",), {"mcaps": 5}, "needs an 'mcaps' path"),
+    (("indicator_windows",), 5, "'indicator_windows' at config root"),
+    (("indicator_windows",), [0], "'indicator_windows' at config root"),
+    (("indicator_windows",), [5, "20"], "'indicator_windows' at config root"),
+    (("indicator_windows",), [True], "'indicator_windows' at config root"),
+    (("indicator_sources",), "close-price", "'indicator_sources' at config root"),
+    (("indicator_sources",), ["close-price", 3], "'indicator_sources' at config root"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
-        "missing-above-one", "mcaps-number"])
+        "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
+        "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)
@@ -308,3 +387,27 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named)
     assert main(["run", "--config", str(config)]) == 1
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_unknown_indicator_source_rejected(tmp_path, capsys):
+    config, out_dir, _ = small_setup(tmp_path, seed=9)
+    doc = json.loads(config.read_text())
+    doc["indicator_sources"] = ["close-price", "close-prize"]
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "indicator_sources" in err and "'close-prize'" in err
+    assert not out_dir.exists()
+
+
+def test_indicator_source_dropped_by_cleaning_is_skipped(tmp_path, capsys):
+    config, out_dir, _ = small_setup(tmp_path, seed=9)
+    doc = json.loads(config.read_text())
+    doc["indicator_sources"] = ["close-price", "sentiment_flat"]   # a flat run drops it
+    config.write_text(json.dumps(doc))
+    report = tmp_path / "pearson.csv"
+    assert main(["importance", "--config", str(config), "--period", "2019-01-01",
+                 "--window", "7", "--method", "pearson", "--out", str(report)]) == 0
+    features = {line.split(",")[0] for line in report.read_text().splitlines()[1:]}
+    assert "SMA5_close-price" in features
+    assert not any(f.endswith("_sentiment_flat") for f in features)

@@ -1,3 +1,4 @@
+import pickle
 from datetime import date, timedelta
 
 import numpy as np
@@ -257,6 +258,16 @@ def test_run_scenario_stage_error_names_stage():
                          shapley=config.shapley, seed=0)
     with pytest.raises(StageError, match="stage prepare"):
         run_scenario(corpus, Scenario(date(2019, 1, 1), 7), bad)
+
+
+def test_stage_error_pickle_round_trip():
+    # a failed cell returns its StageError from a worker process, so it must unpickle
+    original = StageError("2019_7", "fra", ValueError("x"))
+    restored = pickle.loads(pickle.dumps(original))
+    assert isinstance(restored, StageError)
+    assert (restored.scenario_label, restored.stage) == ("2019_7", "fra")
+    assert str(restored) == str(original) == "scenario 2019_7, stage fra: x"
+    assert isinstance(restored.cause, ValueError) and restored.cause.args == ("x",)
 
 
 def test_prepare_dataset_shapes():

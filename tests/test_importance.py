@@ -5,7 +5,8 @@ import pytest
 
 from cryptodiv.importance import (ConstantColumnError, ImportanceReport, mdi, pearson,
                                   pearson_abs, pfi, shapley_exact, shapley_sampled)
-from cryptodiv.models import EnsembleParams, ModelKind, fit_forest, fit_gbt
+from cryptodiv.models import EnsembleParams, ModelKind, fit_forest, fit_gbt, mse
+from cryptodiv.seeding import substream
 
 
 class LinearStub:
@@ -208,6 +209,61 @@ def test_pfi_redundant_copies_score_below_single_copy():
     dup_report = pfi(fit_forest(X_dup, y, params, seed=1), X_dup, y, repeats=3, seed=2)
     assert dup_report.scores["f0"] < single
     assert dup_report.scores["f1"] < single
+
+
+def pfi_tree_loop_oracle(model, X, y, repeats, seed):
+    """pfi for tree ensembles, re-routing each affected tree on its own, one row at a time."""
+    nodes = model.nodes
+
+    def tree_output(t, data):
+        out = []
+        for x in data:
+            i = nodes.roots[t]
+            while nodes.feature[i] >= 0:
+                i = nodes.left[i] if x[nodes.feature[i]] <= nodes.threshold[i] else nodes.right[i]
+            out.append(nodes.value[i])
+        return np.array(out)
+
+    per_tree = np.array([tree_output(t, X) for t in range(model.n_trees)])
+    total = per_tree.sum(axis=0)
+    baseline = mse(y, model.combine_tree_total(total))
+    feature_sets = model.tree_feature_sets()
+    scores, X_work = {}, X.copy()
+    for j in range(X.shape[1]):
+        name = f"f{j}"
+        affected = [t for t, feats in enumerate(feature_sets) if j in feats]
+        if not affected:
+            scores[name] = 0.0
+            continue
+        unaffected_total = total - per_tree[affected].sum(axis=0)
+        deltas = []
+        for r in range(repeats):
+            X_work[:, j] = X[substream(seed, "pfi", name, r).permutation(len(y)), j]
+            new_total = unaffected_total + sum(tree_output(t, X_work) for t in affected)
+            deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
+        X_work[:, j] = X[:, j]
+        scores[name] = float(np.mean(deltas))
+    return scores, baseline
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def test_pfi_matches_per_tree_loop_oracle_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(90, 6))
+    y = X[:, 0] - X[:, 2] ** 2 + 0.5 * X[:, 4] * X[:, 1] + rng.normal(scale=0.3, size=90)
+    if kind == "rf":
+        model = fit_forest(X, y, EnsembleParams(n_estimators=12, max_depth=6,
+                                                features_per_split=0.5), seed=2)
+    else:
+        model = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=10,
+                                             max_depth=3, bootstrap=False), seed=2)
+    report = pfi(model, X, y, repeats=3, seed=9)
+    expected, baseline = pfi_tree_loop_oracle(model, X, y, repeats=3, seed=9)
+    names = sorted(expected)
+    assert sorted(report.scores) == names
+    got = np.array([report.scores[f] for f in names])
+    assert np.array_equal(got.view(np.int64), np.array([expected[f] for f in names]).view(np.int64))
+    assert report.metadata["baseline_mse"] == baseline
 
 
 def test_pfi_deterministic_and_name_keyed():

@@ -163,7 +163,11 @@ def test_per_tree_predictions_c_ordered_rows_match_predict_tree():
         assert per_tree.shape == (model.n_trees, 40) and per_tree.flags["C_CONTIGUOUS"]
         for t in range(model.n_trees):
             assert np.array_equal(per_tree[t].view(np.int64),
-                                  model.predict_tree(t, probe).view(np.int64))
+                                  model.predict_tree([t], probe)[0].view(np.int64))
+        picked = [5, 0, 3, 0]
+        rows = model.predict_tree(picked, probe)
+        assert rows.shape == (len(picked), 40) and rows.flags["C_CONTIGUOUS"]
+        assert np.array_equal(rows.view(np.int64), per_tree[picked].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
