@@ -16,12 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
 from . import data, experiments, fra, importance, index, indicators, models, reports
+from ._parallel import WorkerDied, fork_map
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
@@ -127,6 +129,13 @@ def _distinct_years(periods: tuple[date, ...], where: str) -> tuple[date, ...]:
     return periods
 
 
+def _windows(value, where: str) -> tuple[int, ...]:
+    """A list of integer windows, each at least 1; true/false are not integers here."""
+    if not isinstance(value, list) or not all(type(v) is int and v >= 1 for v in value):
+        raise ConfigError(f"bad value for {where}: expected a list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
@@ -151,22 +160,21 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     try:
         periods = tuple(date.fromisoformat(p) for p in doc.get("periods", ["2017-01-01", "2019-01-01"]))
-        windows = tuple(int(w) for w in doc.get("windows", [1, 7, 30, 90, 180]))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad periods/windows: {exc}") from exc
-    if any(w < 1 for w in windows):
-        raise ConfigError(f"windows must be >= 1, got {windows}")
+        raise ConfigError(f"bad periods: {exc}") from exc
     _distinct_years(periods, "periods")
+    windows = _windows(doc.get("windows", [1, 7, 30, 90, 180]), "'windows' at config root")
 
     given = {}
-    for key, kind, valid in (("indicator_sources", "a list of strings", lambda v: isinstance(v, str)),
-                             ("indicator_windows", "a list of integers >= 1",
-                              lambda v: type(v) is int and v >= 1)):
-        if key in doc:
-            if not isinstance(doc[key], list) or not all(map(valid, doc[key])):
-                raise ConfigError(f"bad value for {key!r} at config root: expected {kind}, "
-                                  f"got {doc[key]!r}")
-            given[key] = tuple(doc[key])
+    if "indicator_sources" in doc:
+        sources = doc["indicator_sources"]
+        if not isinstance(sources, list) or not all(isinstance(v, str) for v in sources):
+            raise ConfigError(f"bad value for 'indicator_sources' at config root: "
+                              f"expected a list of strings, got {sources!r}")
+        given["indicator_sources"] = tuple(sources)
+    if "indicator_windows" in doc:
+        given["indicator_windows"] = _windows(doc["indicator_windows"],
+                                              "'indicator_windows' at config root")
     pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
@@ -195,7 +203,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.periods = _distinct_years(
             tuple(date.fromisoformat(p) for p in args.periods.split(",")), "--periods")
     if getattr(args, "windows", None):
-        cfg.windows = tuple(int(w) for w in args.windows.split(","))
+        try:
+            windows = [int(w) for w in args.windows.split(",")]
+        except ValueError:
+            windows = args.windows  # not a list of integers, so _windows rejects it
+        cfg.windows = _windows(windows, "--windows")
     if getattr(args, "jobs", None) is not None:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -311,56 +323,37 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
     return out
 
 
-# The prepared corpus and pipeline config of the run in progress. Forked
-# workers inherit them with the parent's memory, so the corpus is never pickled.
-_cell_inputs: tuple[data.Dataset, PipelineConfig] | None = None
-
-
-def _run_cell(scenario: Scenario) -> experiments.ScenarioResult | StageError:
-    """One cell's result, or the StageError it failed with."""
-    corpus, pipeline = _cell_inputs
-    try:
-        return experiments.run_scenario(corpus, scenario, pipeline)
-    except StageError as exc:
-        return exc
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    global _cell_inputs
     cfg = _apply_overrides(load_run_config(args.config), args)
     corpus, drop_log, imputed, index_rows = _prepare_corpus(cfg)
     scenarios = [Scenario(p, w) for p in cfg.periods for w in cfg.windows]
-    workers = min(cfg.jobs, len(scenarios))
 
-    _cell_inputs = (corpus, cfg.pipeline)
-    try:
-        if workers > 1:
-            # Imported here: the import alone adds about 1 MB of resident
-            # memory to the runs and subcommands that start no pool.
-            import multiprocessing
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    def run_cell(scenario: Scenario) -> experiments.ScenarioResult | StageError:
+        """One cell's result, or the StageError it failed with."""
+        try:
+            return experiments.run_scenario(corpus, scenario, cfg.pipeline)
+        except StageError as exc:
+            return exc
 
-            # tree fitting holds the GIL, so cells run in processes, not threads
-            try:
-                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                    outcomes = list(pool.map(_run_cell, scenarios))
-            except BrokenProcessPool as exc:
-                print(f"error: a scenario worker process died: {exc}", file=sys.stderr)
-                return 1
-        else:
-            outcomes = list(map(_run_cell, scenarios))
-    finally:
-        _cell_inputs = None
+    # the workers are forked after the corpus is prepared and share it
+    outcomes = fork_map(run_cell, scenarios, cfg.jobs)
     results = [o for o in outcomes if not isinstance(o, StageError)]
     failures = [o for o in outcomes if isinstance(o, StageError)]
 
     out = cfg.output_dir
+    finished = {f"{result.label}.json" for result in results}
+    # an earlier run's cells would otherwise be rendered with this run's
+    for path in sorted((out / "scenarios").glob("*.json")):
+        if path.name not in finished:
+            path.unlink()
     for result in results:
         reports.atomic_write_text(out / "scenarios" / f"{result.label}.json",
                                   experiments.result_to_json(result))
     if not failures:
-        # after a failure `cryptodiv report` renders the tables from the stored cells
         reports.write_tables(results, out / "tables")
+    else:
+        # after a failure `cryptodiv report` renders the tables from the stored cells
+        shutil.rmtree(out / "tables", ignore_errors=True)
     reports.atomic_write_text(out / "drop_log.csv", reports.render_drop_log_csv(drop_log))
     if imputed:
         lines = ["metric,forward_filled_days"]
@@ -406,19 +399,20 @@ def cmd_importance(args: argparse.Namespace) -> int:
     if args.method == "pearson":
         report = importance.pearson_report(train.features, train.target)
     elif args.method == "shapley":
-        report = experiments._shapley_ranking(train, rf_params, cfg.pipeline.shapley, seed)
+        report = experiments._shapley_ranking(train, rf_params, cfg.pipeline.shapley, seed,
+                                              jobs=cfg.jobs)
     else:
         X = train.matrix(features)
         model = models.fit_forest(X, train.target, rf_params,
                                   derive_seed(seed, "importance", "rf"),
-                                  feature_names=features)
+                                  feature_names=features, jobs=cfg.jobs)
         if args.method == "mdi":
             report = importance.mdi(model)
         else:
             report = importance.pfi(model, X, train.target,
                                     repeats=cfg.pipeline.fra.pfi_repeats,
                                     seed=derive_seed(seed, "importance", "pfi"),
-                                    feature_names=features)
+                                    feature_names=features, jobs=cfg.jobs)
     out = Path(args.out) if args.out else cfg.output_dir / "importance" / f"{scenario.label}_{args.method}.csv"
     reports.atomic_write_text(out, report.to_csv())
     print(f"wrote {args.method} report for {scenario.label} to {out}")
@@ -469,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--jobs", type=int)
         p.add_argument("--periods")
         p.add_argument("--windows")
         p.add_argument("--target-features", type=int, dest="target_features")
@@ -481,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run every scenario cell and write artifacts")
     add_common(p_run)
+    p_run.add_argument("--jobs", type=int, help="worker processes for the cells")
     p_run.set_defaults(func=cmd_run)
 
     p_fra = sub.add_parser("fra", help="run feature reduction for one cell")
@@ -495,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp.add_argument("--window", required=True, type=int)
     p_imp.add_argument("--method", required=True,
                        choices=["pearson", "mdi", "pfi", "shapley"])
+    p_imp.add_argument("--jobs", type=int,
+                       help="worker processes for the trees, permutations or feature chunks")
     p_imp.set_defaults(func=cmd_importance)
 
     p_rep = sub.add_parser("report", help="re-render tables from stored results")
@@ -509,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, data.ManifestError, index.IndexDomainError,
+    except (ConfigError, data.ManifestError, index.IndexDomainError, WorkerDied,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -309,11 +309,11 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
 
 
 def _shapley_ranking(train: Dataset, rf_params: EnsembleParams,
-                     settings: ShapleySettings, seed: int):
+                     settings: ShapleySettings, seed: int, jobs: int = 1):
     features = list(train.feature_names)
     X = train.matrix(features)
     model = fit_forest(X, train.target, rf_params, derive_seed(seed, "shap", "model"),
-                       feature_names=features)
+                       feature_names=features, jobs=jobs)
     bg_rows = _subsample_rows(len(X), settings.background_rows,
                               substream(seed, "shap", "background"))
     ex_rows = _subsample_rows(len(X), settings.explain_rows,
@@ -321,7 +321,7 @@ def _shapley_ranking(train: Dataset, rf_params: EnsembleParams,
     result = shapley_sampled(model, X[bg_rows], X[ex_rows],
                              n_permutations=settings.n_permutations,
                              seed=derive_seed(seed, "shap", "perms"),
-                             feature_names=features)
+                             feature_names=features, jobs=jobs)
     return result.report
 
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._parallel import fork_map
 from .models import TreeEnsemble, mse
 from .seeding import substream
 
@@ -113,11 +114,14 @@ def mdi(model: TreeEnsemble) -> ImportanceReport:
 # ---------------------------------------------------------------------------
 
 def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
-        seed: int = 0, feature_names: Sequence[str] | None = None) -> ImportanceReport:
+        seed: int = 0, feature_names: Sequence[str] | None = None,
+        jobs: int = 1) -> ImportanceReport:
     """Mean MSE increase when one column at a time is randomly permuted.
 
     Each (feature, repeat) permutation comes from its own substream keyed by
-    the feature name, so scores do not depend on column order.
+    the feature name, so scores do not depend on column order. jobs > 1
+    scores one contiguous chunk of features in each of that many forked
+    processes, with the same result.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -130,8 +134,6 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match X columns")
     n = len(y)
-    scores = {}
-    X_work = X.copy()
     if isinstance(model, TreeEnsemble):
         # Permuting column j only disturbs trees that split on j, so re-route
         # those and reuse the cached outputs of the rest. A feature no tree
@@ -143,32 +145,41 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
         for t, feats in enumerate(model.tree_feature_sets()):
             for f in feats:
                 trees_by_feature.setdefault(int(f), []).append(t)
-        for j, name in enumerate(names):
+
+        def score(X_work: np.ndarray, j: int) -> float:
             affected = trees_by_feature.get(j, [])
             if not affected:
-                scores[name] = 0.0
-                continue
+                return 0.0
             unaffected_total = total - per_tree[affected].sum(axis=0)
             deltas = []
             for r in range(repeats):
-                perm = substream(seed, "pfi", name, r).permutation(n)
+                perm = substream(seed, "pfi", names[j], r).permutation(n)
                 X_work[:, j] = X[perm, j]
                 # one routing pass for all affected trees; sum() then adds
                 # their rows in order, as one call per tree would
                 new_total = unaffected_total + sum(model.predict_tree(affected, X_work))
                 deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
             X_work[:, j] = X[:, j]
-            scores[name] = float(np.mean(deltas))
+            return float(np.mean(deltas))
     else:
         baseline = mse(y, model.predict(X))
-        for j, name in enumerate(names):
+
+        def score(X_work: np.ndarray, j: int) -> float:
             deltas = []
             for r in range(repeats):
-                perm = substream(seed, "pfi", name, r).permutation(n)
+                perm = substream(seed, "pfi", names[j], r).permutation(n)
                 X_work[:, j] = X[perm, j]
                 deltas.append(mse(y, model.predict(X_work)) - baseline)
             X_work[:, j] = X[:, j]
-            scores[name] = float(np.mean(deltas))
+            return float(np.mean(deltas))
+
+    def score_chunk(columns: np.ndarray) -> list[float]:
+        X_work = X.copy()   # one working copy per chunk, restored after each feature
+        return [score(X_work, int(j)) for j in columns]
+
+    chunks = np.array_split(np.arange(len(names)), max(1, min(jobs, len(names))))
+    chunk_scores = fork_map(score_chunk, chunks, jobs)
+    scores = dict(zip(names, (s for chunk in chunk_scores for s in chunk)))
     return ImportanceReport("pfi", scores, {"repeats": repeats, "seed": seed,
                                             "baseline_mse": baseline})
 
@@ -222,12 +233,15 @@ def shapley_exact(model, X_background: np.ndarray, X_explain: np.ndarray,
 
 def shapley_sampled(model, X_background: np.ndarray, X_explain: np.ndarray,
                     n_permutations: int = 2000, seed: int = 0,
-                    feature_names: Sequence[str] | None = None) -> ShapleyResult:
+                    feature_names: Sequence[str] | None = None,
+                    jobs: int = 1) -> ShapleyResult:
     """Permutation-sampling Shapley estimate with per-feature standard errors.
 
     Each sampled feature ordering contributes one marginal gain per feature;
     the estimate is their mean. The same orderings are shared by all
-    explained rows.
+    explained rows. jobs > 1 evaluates the orderings in that many forked
+    processes; their gains are still added up in ordering order, so the
+    result is the same for every jobs value.
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -236,23 +250,29 @@ def shapley_sampled(model, X_background: np.ndarray, X_explain: np.ndarray,
     nb = len(X_bg)
     n_ex = len(X_ex)
 
-    sums = np.zeros((n_ex, p))
-    sq_sums = np.zeros((n_ex, p))
     # chunk explained rows so one batch stays within ~50 MB
     rows_per_batch = (p + 1) * nb
     chunk = max(1, int(50e6 / (rows_per_batch * p * 8)))
-    for t in range(n_permutations):
+
+    def marginals(t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ordering t, and each explained row's gain of order[k] at step k."""
         order = substream(seed, "perm", t).permutation(p)
         member = np.zeros((p + 1, p), dtype=bool)  # member[k] = first k features of order
         member[1:] = np.cumsum(np.eye(p, dtype=bool)[order], axis=0)
+        gains = np.empty((n_ex, p))
         for start in range(0, n_ex, chunk):
             ex = X_ex[start:start + chunk]
             batch = np.where(member[None, :, None, :], ex[:, None, None, :], X_bg[None, None, :, :])
             values = (model.predict(batch.reshape(len(ex) * rows_per_batch, p))
                       .reshape(len(ex), p + 1, nb).mean(axis=2))
-            marginals = np.diff(values, axis=1)  # gain of order[k] at step k
-            sums[start:start + chunk][:, order] += marginals
-            sq_sums[start:start + chunk][:, order] += marginals * marginals
+            gains[start:start + chunk] = np.diff(values, axis=1)
+        return order, gains
+
+    sums = np.zeros((n_ex, p))
+    sq_sums = np.zeros((n_ex, p))
+    for order, gains in fork_map(marginals, range(n_permutations), jobs):
+        sums[:, order] += gains
+        sq_sums[:, order] += gains * gains
     attributions = sums / n_permutations
     if n_permutations > 1:
         variance = (sq_sums - n_permutations * attributions ** 2) / (n_permutations - 1)

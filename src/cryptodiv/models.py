@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._parallel import fork_map
 from .seeding import derive_seed, substream
 
 
@@ -292,20 +293,25 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams,
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
-               feature_names: Sequence[str] | None = None) -> TreeEnsemble:
-    """Random forest: trees on bootstrap resamples, prediction = tree mean."""
+               feature_names: Sequence[str] | None = None, jobs: int = 1) -> TreeEnsemble:
+    """Random forest: trees on bootstrap resamples, prediction = tree mean.
+
+    jobs > 1 grows the trees in that many forked processes. Each tree draws
+    from its own substream, so the forest is the same for every jobs value.
+    """
     X, y = _check_xy(X, y)
     if params.kind is not ModelKind.RANDOM_FOREST:
         params = replace(params, kind=ModelKind.RANDOM_FOREST)
     n = len(y)
-    trees = []
-    for i in range(params.n_estimators):
+
+    def grow(i: int) -> _NodeTable:
         rng = substream(seed, "tree", i)
         if params.bootstrap:
             rows = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[rows], y[rows], params, rng))
-        else:
-            trees.append(fit_tree(X, y, params, rng))
+            return fit_tree(X[rows], y[rows], params, rng)
+        return fit_tree(X, y, params, rng)
+
+    trees = fork_map(grow, range(params.n_estimators), jobs)
     return TreeEnsemble(
         kind=ModelKind.RANDOM_FOREST, params=params, nodes=_NodeTable.concat(trees),
         n_features=X.shape[1],

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cryptodiv import experiments, indicators
+from cryptodiv import experiments, indicators, models
 from cryptodiv.cli import ConfigError, load_run_config, main
 from cryptodiv.experiments import StageError
 
@@ -201,6 +201,29 @@ def test_run_failed_cell_keeps_finished_cells(tmp_path, monkeypatch, capsys, job
     assert tree_bytes(partial) == expected
 
 
+def test_failed_run_removes_an_earlier_runs_cells_and_tables(tmp_path, monkeypatch):
+    config, _, _ = small_setup(tmp_path)
+    shared, reference = tmp_path / "shared", tmp_path / "reference"
+    assert main(["run", "--config", str(config), "--out", str(shared)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(reference), "--seed", "5"]) == 0
+    original = experiments.run_scenario
+
+    def failing(corpus, scenario, config):
+        if scenario.label == "2018_7":
+            raise StageError(scenario.label, "fra", ValueError("planted failure"))
+        return original(corpus, scenario, config)
+
+    monkeypatch.setattr(experiments, "run_scenario", failing)
+    assert main(["run", "--config", str(config), "--out", str(shared), "--seed", "5"]) == 1
+    # what a seed-5 run with the same failure leaves in an empty directory
+    (reference / "scenarios" / "2018_7.json").unlink()
+    shutil.rmtree(reference / "tables")
+    assert tree_bytes(shared) == tree_bytes(reference)
+    assert main(["report", "--results", str(shared)]) == 0
+    assert main(["report", "--results", str(reference)]) == 0
+    assert tree_bytes(shared) == tree_bytes(reference)
+
+
 def test_run_worker_death_is_one_error_line(tmp_path, monkeypatch, capsys):
     original = experiments.run_scenario
 
@@ -279,6 +302,86 @@ def test_fra_command_audit_monotone(tmp_path, capsys):
     assert len(survivors_csv) - 1 == len(audit["survivors"])
 
 
+def test_fra_command_rejects_jobs(tmp_path, capsys):
+    config, _, _ = small_setup(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7",
+              "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+TINY_RF = {"n_estimators": 4, "max_depth": 3, "features_per_split": 1 / 3}
+
+
+def tiny_importance_setup(tmp_path):
+    """small_setup with a 4-tree forest and 4 Shapley permutations."""
+    config, _, _ = small_setup(tmp_path, seed=4)
+    doc = json.loads(config.read_text())
+    doc["fra"]["rf"] = TINY_RF
+    doc["shapley"] = {"n_permutations": 4, "background_rows": 5, "explain_rows": 2}
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def importance_args(config, method, out, jobs):
+    return ["importance", "--config", str(config), "--period", "2019-01-01", "--window", "7",
+            "--method", method, "--out", str(out), "--jobs", str(jobs)]
+
+
+@pytest.mark.parametrize("method", ["mdi", "pfi", "shapley"])
+def test_importance_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, method):
+    config = tiny_importance_setup(tmp_path)
+    serial, parallel = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+    assert main(importance_args(config, method, serial, 1)) == 0
+    assert main(importance_args(config, method, parallel, 2)) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("method, inner", [("pfi", "predict_tree"), ("shapley", "predict")])
+def test_importance_jobs_2_works_in_worker_processes(tmp_path, monkeypatch, method, inner):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            with open(pid_dir / str(os.getpid()), "a") as fh:
+                fh.write(name + "\n")
+            return fn(*args, **kwargs)
+        return record
+
+    # the workers are forked after the patches, so they run them too
+    monkeypatch.setattr(models, "fit_tree", recording("fit_tree", models.fit_tree))
+    monkeypatch.setattr(models.TreeEnsemble, inner,
+                        recording(inner, getattr(models.TreeEnsemble, inner)))
+    config = tiny_importance_setup(tmp_path)
+    assert main(importance_args(config, method, tmp_path / "report.csv", 2)) == 0
+    calls = {int(p.name): set(p.read_text().split()) for p in pid_dir.iterdir()}
+    tree_pids = {pid for pid, names in calls.items() if "fit_tree" in names}
+    inner_pids = {pid for pid, names in calls.items() if inner in names} - {os.getpid()}
+    # the forest's pool fits every tree; a second pool of workers does the
+    # permutations, while the parent computes only the baseline or base value
+    assert tree_pids and os.getpid() not in tree_pids and len(tree_pids) <= 2
+    assert inner_pids and not inner_pids & tree_pids and len(inner_pids) <= 2
+
+
+def test_importance_worker_death_is_one_error_line(tmp_path, monkeypatch, capsys):
+    parent, original = os.getpid(), models.fit_tree
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "fit_tree", dying)
+    config = tiny_importance_setup(tmp_path)
+    capsys.readouterr()
+    assert main(importance_args(config, "mdi", tmp_path / "report.csv", 2)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a worker process died")
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_importance_command_writes_report(tmp_path):
     config, out_dir, _ = small_setup(tmp_path, seed=4)
     for method in ("pearson", "mdi", "pfi", "shapley"):
@@ -333,6 +436,15 @@ def test_periods_override_colliding_years_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("windows", ["0", "abc", "7,1.5"])
+def test_windows_override_checked_like_config(tmp_path, capsys, windows):
+    config, out_dir, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config), "--windows", windows]) == 1
+    err = capsys.readouterr().err
+    assert "bad value for --windows: expected a list of integers >= 1" in err
+    assert not out_dir.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -368,10 +480,17 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("indicator_windows",), [True], "'indicator_windows' at config root"),
     (("indicator_sources",), "close-price", "'indicator_sources' at config root"),
     (("indicator_sources",), ["close-price", 3], "'indicator_sources' at config root"),
+    (("windows",), [7.9], "'windows' at config root"),
+    (("windows",), ["7"], "'windows' at config root"),
+    (("windows",), [True], "'windows' at config root"),
+    (("windows",), [1, 0], "'windows' at config root"),
+    (("windows",), 7, "'windows' at config root"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
-        "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item"])
+        "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item",
+        "cell-windows-float-item", "cell-windows-string-item", "cell-windows-bool-item",
+        "cell-windows-zero", "cell-windows-number"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)

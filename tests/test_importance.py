@@ -273,6 +273,26 @@ def test_pfi_deterministic_and_name_keyed():
     assert a.scores == b.scores
 
 
+@pytest.mark.parametrize("kind", ["rf", "linear"])
+def test_pfi_equal_at_jobs_1_2_3(kind):
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(60, 5))
+    y = X[:, 0] + X[:, 1] * X[:, 3] + rng.normal(scale=0.2, size=60)
+    if kind == "rf":
+        model = fit_forest(X, y, EnsembleParams(n_estimators=4, max_depth=4,
+                                                features_per_split=0.6), seed=3)
+    else:
+        model = LinearStub([1.0, -0.5, 0.0, 2.0, 0.3])
+    reports = [pfi(model, X, y, repeats=2, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
+
+    def bits(report):
+        return np.array([report.metadata["baseline_mse"], *report.scores.values()]).view(np.int64)
+
+    for report in reports[1:]:
+        assert list(report.scores) == list(reports[0].scores)
+        assert np.array_equal(bits(report), bits(reports[0]))
+
+
 # ---------------------------------------------------------------------------
 # Shapley
 # ---------------------------------------------------------------------------
@@ -355,6 +375,19 @@ def test_shapley_sampled_deterministic():
     b = shapley_sampled(model, X[:20], X[20:24], n_permutations=50, seed=9)
     assert np.array_equal(a.attributions, b.attributions)
     assert np.array_equal(a.stderr, b.stderr)
+
+
+def test_shapley_sampled_equal_at_jobs_1_2_3():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(60, 5))
+    y = X[:, 0] - np.abs(X[:, 2]) + rng.normal(scale=0.1, size=60)
+    model = fit_forest(X, y, EnsembleParams(n_estimators=3, max_depth=4), seed=2)
+    results = [shapley_sampled(model, X[:10], X[20:23], n_permutations=7, seed=3, jobs=jobs)
+               for jobs in (1, 2, 3)]
+    for result in results[1:]:
+        assert np.array_equal(result.attributions.view(np.int64),
+                              results[0].attributions.view(np.int64))
+        assert np.array_equal(result.stderr.view(np.int64), results[0].stderr.view(np.int64))
 
 
 def test_shapley_sampled_unbiased_across_seeds():

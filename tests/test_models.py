@@ -151,6 +151,21 @@ def test_forest_node_table_is_preorder():
     assert nodes.max_depth() == max(depths) <= 5
 
 
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_node_table_equal_at_jobs_1_2_3(bootstrap):
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(70, 5))
+    y = X[:, 0] - X[:, 2] + rng.normal(scale=0.3, size=70)
+    params = EnsembleParams(n_estimators=5, max_depth=4, features_per_split=0.6,
+                            bootstrap=bootstrap)
+    tables = [fit_forest(X, y, params, seed=4, jobs=jobs).nodes for jobs in (1, 2, 3)]
+    for column, reference in vars(tables[0]).items():
+        for other in tables[1:]:
+            got = getattr(other, column)
+            assert got.dtype == reference.dtype and not got.flags.writeable, column
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64)), column
+
+
 def test_per_tree_predictions_c_ordered_rows_match_predict_tree():
     rng = np.random.default_rng(24)
     X = rng.normal(size=(150, 5))
