@@ -129,10 +129,13 @@ def _distinct_years(periods: tuple[date, ...], where: str) -> tuple[date, ...]:
     return periods
 
 
-def _windows(value, where: str) -> tuple[int, ...]:
+def _windows(value, where: str, allow_empty: bool = False) -> tuple[int, ...]:
     """A list of integer windows, each at least 1; true/false are not integers here."""
     if not isinstance(value, list) or not all(type(v) is int and v >= 1 for v in value):
         raise ConfigError(f"bad value for {where}: expected a list of integers >= 1, got {value!r}")
+    if not value and not allow_empty:
+        raise ConfigError(f"bad value for {where}: expected a list of integers >= 1, got [], "
+                          f"which leaves no scenario cells")
     return tuple(value)
 
 
@@ -173,8 +176,10 @@ def load_run_config(path: str | Path) -> RunConfig:
                               f"expected a list of strings, got {sources!r}")
         given["indicator_sources"] = tuple(sources)
     if "indicator_windows" in doc:
+        # an empty list means no indicators
         given["indicator_windows"] = _windows(doc["indicator_windows"],
-                                              "'indicator_windows' at config root")
+                                              "'indicator_windows' at config root",
+                                              allow_empty=True)
     pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
@@ -359,9 +364,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         lines = ["metric,forward_filled_days"]
         lines += [f"{m},{n}" for m, n in sorted(imputed.items())]
         reports.atomic_write_text(out / "imputation_log.csv", "\n".join(lines) + "\n")
+    else:
+        (out / "imputation_log.csv").unlink(missing_ok=True)
     if index_rows is not None:
         reports.atomic_write_text(out / "index.csv",
                                   index.render_index_csv(index_rows, cfg.index_params.power))
+    else:
+        (out / "index.csv").unlink(missing_ok=True)
     for exc in failures:
         print(f"error: {exc}", file=sys.stderr)
     if failures:

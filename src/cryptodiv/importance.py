@@ -135,12 +135,15 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
         raise ValueError("feature_names length does not match X columns")
     n = len(y)
     if isinstance(model, TreeEnsemble):
-        # Permuting column j only disturbs trees that split on j, so re-route
-        # those and reuse the cached outputs of the rest. A feature no tree
-        # reads scores exactly 0 without any prediction at all.
+        # Permuting column j only moves a (row, tree) pair whose baseline
+        # path splits on j, so only those pairs are re-routed and every other
+        # pair keeps its cached output. A feature no tree reads scores
+        # exactly 0 without any routing at all.
+        nodes = model.nodes
         per_tree = model.per_tree_predictions(X)
         total = per_tree.sum(axis=0)
         baseline = mse(y, model.combine_tree_total(total))
+        base_leaves = nodes.leaves(X, np.broadcast_to(nodes.roots, (n, model.n_trees))).T
         trees_by_feature: dict[int, list[int]] = {}
         for t, feats in enumerate(model.tree_feature_sets()):
             for f in feats:
@@ -150,14 +153,18 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
             affected = trees_by_feature.get(j, [])
             if not affected:
                 return 0.0
-            unaffected_total = total - per_tree[affected].sum(axis=0)
+            outputs = per_tree[affected]
+            unaffected_total = total - outputs.sum(axis=0)
+            tree, row = np.nonzero(nodes.path_reads(j)[base_leaves[affected]])
+            start = nodes.roots[affected][tree]
             deltas = []
             for r in range(repeats):
                 perm = substream(seed, "pfi", names[j], r).permutation(n)
                 X_work[:, j] = X[perm, j]
-                # one routing pass for all affected trees; sum() then adds
-                # their rows in order, as one call per tree would
-                new_total = unaffected_total + sum(model.predict_tree(affected, X_work))
+                outputs[tree, row] = nodes.value[nodes.leaves(X_work, start, row)]
+                # sum() adds the affected trees' rows in order, as one
+                # predict_tree call per tree would
+                new_total = unaffected_total + sum(outputs)
                 deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
             X_work[:, j] = X[:, j]
             return float(np.mean(deltas))
@@ -189,6 +196,9 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
 # ---------------------------------------------------------------------------
 
 EXACT_MAX_FEATURES = 12
+# shapley_sampled evaluates the coalitions of this many bytes' worth of
+# explained rows at a time
+_BATCH_BYTES = 50_000_000
 
 
 @dataclass
@@ -249,22 +259,38 @@ def shapley_sampled(model, X_background: np.ndarray, X_explain: np.ndarray,
     p = X_bg.shape[1]
     nb = len(X_bg)
     n_ex = len(X_ex)
+    rows_per_batch = (p + 1) * nb   # coalition rows per explained row
 
-    # chunk explained rows so one batch stays within ~50 MB
-    rows_per_batch = (p + 1) * nb
-    chunk = max(1, int(50e6 / (rows_per_batch * p * 8)))
+    if isinstance(model, TreeEnsemble):
+        if p != model.n_features:
+            raise ValueError(f"expected {model.n_features} feature columns, got shape {X_bg.shape}")
+        nodes, n_trees = model.nodes, model.n_trees
+        # a batch holds one leaf per (coalition row, tree)
+        chunk = max(1, _BATCH_BYTES // (rows_per_batch * n_trees * 8))
+
+        def predict_coalitions(ex: np.ndarray, order: np.ndarray) -> np.ndarray:
+            position = np.empty(p, dtype=np.intp)
+            position[order] = np.arange(p)
+            leaves = nodes.coalition_leaves(ex, X_bg, position)
+            # the leaves predict() would reach, summed and combined as it does
+            total = nodes.value[leaves].reshape(-1, n_trees).sum(axis=1)
+            return model.combine_tree_total(total)
+    else:
+        chunk = max(1, _BATCH_BYTES // (rows_per_batch * p * 8))
+
+        def predict_coalitions(ex: np.ndarray, order: np.ndarray) -> np.ndarray:
+            member = np.zeros((p + 1, p), dtype=bool)  # member[k] = first k features of order
+            member[1:] = np.cumsum(np.eye(p, dtype=bool)[order], axis=0)
+            batch = np.where(member[None, :, None, :], ex[:, None, None, :], X_bg[None, None, :, :])
+            return model.predict(batch.reshape(len(ex) * rows_per_batch, p))
 
     def marginals(t: int) -> tuple[np.ndarray, np.ndarray]:
         """Ordering t, and each explained row's gain of order[k] at step k."""
         order = substream(seed, "perm", t).permutation(p)
-        member = np.zeros((p + 1, p), dtype=bool)  # member[k] = first k features of order
-        member[1:] = np.cumsum(np.eye(p, dtype=bool)[order], axis=0)
         gains = np.empty((n_ex, p))
         for start in range(0, n_ex, chunk):
             ex = X_ex[start:start + chunk]
-            batch = np.where(member[None, :, None, :], ex[:, None, None, :], X_bg[None, None, :, :])
-            values = (model.predict(batch.reshape(len(ex) * rows_per_batch, p))
-                      .reshape(len(ex), p + 1, nb).mean(axis=2))
+            values = predict_coalitions(ex, order).reshape(len(ex), p + 1, nb).mean(axis=2)
             gains[start:start + chunk] = np.diff(values, axis=1)
         return order, gains
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,13 +101,15 @@ class _NodeTable:
             column.flags.writeable = False
         return table
 
-    def leaves(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
+    def leaves(self, X: np.ndarray, node: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Leaf reached by each row of X from the start nodes `node`.
 
         node has shape (n,) or (n, k): row i of X is routed from node[i] (or
-        from each of node[i, :]).
+        from each of node[i, :]). Given `rows`, of node's shape, row rows[i]
+        is routed from node[i] instead.
         """
-        rows = np.arange(len(X)).reshape((-1,) + (1,) * (node.ndim - 1))
+        if rows is None:
+            rows = np.arange(len(X)).reshape((-1,) + (1,) * (node.ndim - 1))
         while True:
             feat = self.feature[node]
             if not (feat >= 0).any():
@@ -115,6 +118,76 @@ class _NodeTable:
             # feature -1 just reads the last column
             go_left = X[rows, feat] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
+
+    def coalition_leaves(self, X_ex: np.ndarray, X_bg: np.ndarray,
+                         position: np.ndarray) -> np.ndarray:
+        """Leaves of every coalition row of one feature ordering.
+
+        Coalition k of explained row e and background row b takes e's value
+        of each feature f with position[f] < k and b's value of the others.
+        The result, shape (len(X_ex), p + 1, len(X_bg), n_trees), holds the
+        leaf `leaves` would route that row to in each tree. Each (e, b, tree)
+        is routed once, carrying the sizes k in [lo, hi) that reach its node:
+        at a split on f, sizes up to position[f] follow b and larger ones
+        follow e, so the interval moves whole where e and b go the same way
+        and splits at position[f] + 1 where they do not.
+        """
+        n_ex, n_bg, n_trees = len(X_ex), len(X_bg), len(self.roots)
+        sizes = X_ex.shape[1] + 1
+        item = np.arange(n_ex * n_bg * n_trees)     # (e, b, tree) in C order
+        node = np.tile(self.roots, n_ex * n_bg)
+        lo = np.zeros(len(item), dtype=np.intp)
+        hi = np.full(len(item), sizes, dtype=np.intp)
+        done = []
+        while len(item):
+            feat = self.feature[node]
+            split = feat >= 0
+            done.append((item[~split], lo[~split], hi[~split], node[~split]))
+            item, node, lo, hi, feat = item[split], node[split], lo[split], hi[split], feat[split]
+            threshold = self.threshold[node]
+            ex_left = X_ex[item // (n_bg * n_trees), feat] <= threshold
+            bg_left = X_bg[item // n_trees % n_bg, feat] <= threshold
+            cut = position[feat] + 1    # sizes below cut read the background row
+            whole = (ex_left == bg_left) | (lo >= cut) | (hi <= cut)
+            # a split interval keeps [lo, cut) on b's side and adds [cut, hi)
+            # on e's side
+            parted = np.flatnonzero(~whole)
+            ex_child = np.where(ex_left[parted], self.left[node[parted]], self.right[node[parted]])
+            node = np.where(np.where(lo >= cut, ex_left, bg_left), self.left[node], self.right[node])
+            node = np.concatenate((node, ex_child))
+            item = np.concatenate((item, item[parted]))
+            hi = np.concatenate((np.where(whole, hi, cut), hi[parted]))
+            lo = np.concatenate((lo, cut[parted]))
+        item, lo, hi, leaf = (np.concatenate(column) for column in zip(*done))
+        # each item's intervals tile [0, sizes), so in (item, lo) order the
+        # repeated leaves fill an (e, b, tree, k) array
+        order = np.argsort(item * sizes + lo)
+        leaves = np.repeat(leaf[order], (hi - lo)[order]).reshape(n_ex, n_bg, n_trees, sizes)
+        return np.ascontiguousarray(leaves.transpose(0, 3, 1, 2))
+
+    def path_reads(self, feature: int) -> np.ndarray:
+        """Per node: whether a split on `feature` lies on its path from the root.
+
+        A preorder subtree is the block [s, subtree_end[s]), so the nodes
+        below the splits on `feature` are a union of such blocks.
+        """
+        splits = np.flatnonzero(self.feature == feature)
+        n = len(self.feature)
+        edges = (np.bincount(splits + 1, minlength=n + 1)
+                 - np.bincount(self.subtree_end[splits], minlength=n + 1))
+        return np.cumsum(edges[:n]) > 0
+
+    @cached_property
+    def subtree_end(self) -> np.ndarray:
+        """One past the last node of each node's subtree: its rightmost leaf + 1."""
+        last = np.arange(len(self.feature))
+        while True:
+            below = self.right[last]    # a leaf's right is itself
+            if np.array_equal(below, last):
+                end = last + 1
+                end.flags.writeable = False
+                return end
+            last = below
 
     def max_depth(self) -> int:
         """Depth of the deepest tree; a lone leaf has depth 0."""
@@ -147,10 +220,7 @@ class TreeEnsemble:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got shape {X.shape}")
         start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
-        total = self.nodes.value[self.nodes.leaves(X, start)].sum(axis=1)
-        if self.kind is ModelKind.RANDOM_FOREST:
-            return total / self.n_trees
-        return self.base_value + self.params.learning_rate * total
+        return self.combine_tree_total(self.nodes.value[self.nodes.leaves(X, start)].sum(axis=1))
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows), row t is tree t's output."""
@@ -282,14 +352,23 @@ def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams,
-             rng: np.random.Generator) -> _NodeTable:
-    """Grow one CART regression tree; rng drives per-node feature subsets."""
+             rng: np.random.Generator, _sorted_idx: np.ndarray | None = None) -> _NodeTable:
+    """Grow one CART regression tree; rng drives per-node feature subsets.
+
+    _sorted_idx, if given, is _sort_columns(X), for callers that fit many
+    trees on the same X.
+    """
     X, y = _check_xy(X, y)
     m = _resolve_features_per_split(params.features_per_split, X.shape[1])
-    sorted_idx = np.argsort(X, axis=0).astype(np.int32)
+    sorted_idx = _sort_columns(X) if _sorted_idx is None else _sorted_idx
     rows: list[list] = []
     _grow(X, y, sorted_idx, 0, params, rng, m, rows)
     return _NodeTable.from_rows(rows)
+
+
+def _sort_columns(X: np.ndarray) -> np.ndarray:
+    """Row indices sorting each column of X, as the root of a tree needs them."""
+    return np.argsort(X, axis=0).astype(np.int32)
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
@@ -333,11 +412,12 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
     base = float(y.mean())
     residual = y - base
     at_root = np.zeros(len(y), dtype=np.intp)
+    sorted_idx = _sort_columns(X)   # every stage fits the same X
     trees = []
     stage_mse = []
     for i in range(params.n_estimators):
         rng = substream(seed, "stage", i)
-        tree = fit_tree(X, residual, params, rng)
+        tree = fit_tree(X, residual, params, rng, _sorted_idx=sorted_idx)
         residual = residual - params.learning_rate * tree.value[tree.leaves(X, at_root)]
         trees.append(tree)
         stage_mse.append(float(np.mean(residual * residual)))

@@ -224,6 +224,37 @@ def test_failed_run_removes_an_earlier_runs_cells_and_tables(tmp_path, monkeypat
     assert tree_bytes(shared) == tree_bytes(reference)
 
 
+def test_run_removes_an_earlier_runs_index_and_imputation_log(tmp_path):
+    config, _, corpus_dir = small_setup(tmp_path)
+    # the first run computes its target from market caps and forward-fills
+    # the weekday-only traditional indices
+    mcaps = tmp_path / "mcaps.csv"
+    lines = ["date,asset,market_cap_usd"]
+    for i in range(420):
+        day = (date(2018, 1, 1) + timedelta(days=i)).isoformat()
+        lines += [f"{day},{asset},{(1 + j) * 1e9 + i * (j + 1) * 1e7 + (i % 9) * 1e6}"
+                  for j, asset in enumerate(("BTC", "ETH", "XRP"))]
+    mcaps.write_text("\n".join(lines) + "\n")
+    doc = json.loads(config.read_text())
+    indexed = tmp_path / "indexed.json"
+    indexed.write_text(json.dumps({**doc, "index": {"mcaps": str(mcaps)},
+                                   "target_metric": "computed-index"}))
+    # the second has no index section, and tags those indices as macro
+    # series, which are not forward-filled
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    manifest["files"]["trad_index.csv"] = {m: "macro" for m in manifest["files"]["trad_index.csv"]}
+    (corpus_dir / "untagged.json").write_text(json.dumps(manifest))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({**doc, "manifest": str(corpus_dir / "untagged.json")}))
+
+    shared, reference = tmp_path / "shared", tmp_path / "reference"
+    assert main(["run", "--config", str(indexed), "--out", str(shared)]) == 0
+    assert (shared / "index.csv").is_file() and (shared / "imputation_log.csv").is_file()
+    assert main(["run", "--config", str(plain), "--out", str(shared)]) == 0
+    assert main(["run", "--config", str(plain), "--out", str(reference)]) == 0
+    assert tree_bytes(shared) == tree_bytes(reference)
+
+
 def test_run_worker_death_is_one_error_line(tmp_path, monkeypatch, capsys):
     original = experiments.run_scenario
 
@@ -338,7 +369,7 @@ def test_importance_jobs_2_writes_the_bytes_of_jobs_1(tmp_path, method):
     assert parallel.read_bytes() == serial.read_bytes()
 
 
-@pytest.mark.parametrize("method, inner", [("pfi", "predict_tree"), ("shapley", "predict")])
+@pytest.mark.parametrize("method, inner", [("pfi", "path_reads"), ("shapley", "coalition_leaves")])
 def test_importance_jobs_2_works_in_worker_processes(tmp_path, monkeypatch, method, inner):
     pid_dir = tmp_path / "pids"
     pid_dir.mkdir()
@@ -352,8 +383,9 @@ def test_importance_jobs_2_works_in_worker_processes(tmp_path, monkeypatch, meth
 
     # the workers are forked after the patches, so they run them too
     monkeypatch.setattr(models, "fit_tree", recording("fit_tree", models.fit_tree))
-    monkeypatch.setattr(models.TreeEnsemble, inner,
-                        recording(inner, getattr(models.TreeEnsemble, inner)))
+    # the node-table helper that re-routes the rows a permutation changes
+    monkeypatch.setattr(models._NodeTable, inner,
+                        recording(inner, getattr(models._NodeTable, inner)))
     config = tiny_importance_setup(tmp_path)
     assert main(importance_args(config, method, tmp_path / "report.csv", 2)) == 0
     calls = {int(p.name): set(p.read_text().split()) for p in pid_dir.iterdir()}
@@ -485,12 +517,13 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("windows",), [True], "'windows' at config root"),
     (("windows",), [1, 0], "'windows' at config root"),
     (("windows",), 7, "'windows' at config root"),
+    (("windows",), [], "'windows' at config root"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
         "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item",
         "cell-windows-float-item", "cell-windows-string-item", "cell-windows-bool-item",
-        "cell-windows-zero", "cell-windows-number"])
+        "cell-windows-zero", "cell-windows-number", "cell-windows-empty"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)
@@ -506,6 +539,14 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named)
     assert main(["run", "--config", str(config)]) == 1
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_empty_indicator_windows_means_no_indicators(tmp_path):
+    config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", tmp_path / "out")
+    doc = json.loads(config.read_text())
+    doc["indicator_windows"] = []
+    config.write_text(json.dumps(doc))
+    assert load_run_config(config).pipeline.indicator_windows == ()
 
 
 def test_unknown_indicator_source_rejected(tmp_path, capsys):

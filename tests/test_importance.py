@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cryptodiv import importance
 from cryptodiv.importance import (ConstantColumnError, ImportanceReport, mdi, pearson,
                                   pearson_abs, pfi, shapley_exact, shapley_sampled)
-from cryptodiv.models import EnsembleParams, ModelKind, fit_forest, fit_gbt, mse
+from cryptodiv.models import EnsembleParams, ModelKind, _NodeTable, fit_forest, fit_gbt, mse
 from cryptodiv.seeding import substream
 
 
@@ -246,17 +247,28 @@ def pfi_tree_loop_oracle(model, X, y, repeats, seed):
     return scores, baseline
 
 
-@pytest.mark.parametrize("kind", ["rf", "gbt"])
+def at_thresholds(model, X, rng):
+    """X with one value of each split feature set to that split's threshold."""
+    X = X.copy()
+    for node in np.flatnonzero(model.nodes.feature >= 0):
+        X[rng.integers(len(X)), model.nodes.feature[node]] = model.nodes.threshold[node]
+    return X
+
+
+@pytest.mark.parametrize("kind", ["rf", "gbt", "rf-ties", "gbt-ties"])
 def test_pfi_matches_per_tree_loop_oracle_bit_for_bit(kind):
     rng = np.random.default_rng(23)
     X = rng.normal(size=(90, 6))
     y = X[:, 0] - X[:, 2] ** 2 + 0.5 * X[:, 4] * X[:, 1] + rng.normal(scale=0.3, size=90)
-    if kind == "rf":
+    if kind.startswith("rf"):
         model = fit_forest(X, y, EnsembleParams(n_estimators=12, max_depth=6,
                                                 features_per_split=0.5), seed=2)
     else:
         model = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=10,
                                              max_depth=3, bootstrap=False), seed=2)
+    if kind.endswith("ties"):
+        # rows sitting on a threshold go left (x <= threshold) in both routers
+        X = at_thresholds(model, X, rng)
     report = pfi(model, X, y, repeats=3, seed=9)
     expected, baseline = pfi_tree_loop_oracle(model, X, y, repeats=3, seed=9)
     names = sorted(expected)
@@ -388,6 +400,88 @@ def test_shapley_sampled_equal_at_jobs_1_2_3():
         assert np.array_equal(result.attributions.view(np.int64),
                               results[0].attributions.view(np.int64))
         assert np.array_equal(result.stderr.view(np.int64), results[0].stderr.view(np.int64))
+
+
+class PredictOnly:
+    """A model seen only through predict(), so shapley_sampled builds every coalition row."""
+
+    def __init__(self, model):
+        self.model = model
+        self.n_features = model.n_features
+        self.feature_names = model.feature_names
+
+    def predict(self, X):
+        return self.model.predict(X)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def shapley_case(case):
+    """(model, background, explained rows) for one routing edge case."""
+    rng = np.random.default_rng(31)
+    p = 1 if case == "one-feature" else 5
+    X = rng.normal(size=(70, p))
+    y = X[:, 0] - (np.abs(X[:, 2]) if p > 1 else 0) + rng.normal(scale=0.2, size=70)
+    if case == "gbt":
+        model = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=8,
+                                             max_depth=3, bootstrap=False), seed=4)
+    elif case == "one-split-feature":
+        # only column 0 matters, so deep paths split on it again and again
+        model = fit_forest(X, X[:, 0] ** 2, EnsembleParams(n_estimators=3, max_depth=6), seed=4)
+        assert any(np.bincount(f[f >= 0]).max() > 1 for f in np.split(
+            model.nodes.feature, model.nodes.roots[1:]))
+    else:
+        params = {"min-leaf": dict(min_samples_leaf=5), "subsets": dict(features_per_split=0.4)}
+        model = fit_forest(X, y, EnsembleParams(n_estimators=6, max_depth=5,
+                                                **params.get(case, {})), seed=4)
+    X_bg, X_ex = X[:12].copy(), X[40:46].copy()
+    if case == "ties":
+        X_bg = at_thresholds(model, X_bg, rng)
+        X_ex = at_thresholds(model, X_ex, rng)
+    if case == "explained-is-background":
+        X_ex[2] = X_bg[5]
+    return model, X_bg, X_ex
+
+
+@pytest.mark.parametrize("case", ["rf", "gbt", "min-leaf", "subsets", "one-split-feature",
+                                  "ties", "explained-is-background", "one-feature"])
+def test_shapley_sampled_tree_routing_matches_predict_bit_for_bit(case):
+    model, X_bg, X_ex = shapley_case(case)
+    got = shapley_sampled(model, X_bg, X_ex, n_permutations=6, seed=3)
+    expected = shapley_sampled(PredictOnly(model), X_bg, X_ex, n_permutations=6, seed=3)
+    assert_same_bits(got.attributions, expected.attributions)
+    assert_same_bits(got.stderr, expected.stderr)
+    assert got.base_value == expected.base_value
+
+
+def test_shapley_sampled_tree_routing_in_chunks_and_workers(monkeypatch):
+    model, X_bg, X_ex = shapley_case("rf")
+    expected = shapley_sampled(PredictOnly(model), X_bg, X_ex, n_permutations=5, seed=8)
+    # a budget of two coalition rows per batch splits the 6 explained rows
+    # into 3 chunks
+    n_trees, rows_per_batch = model.n_trees, (X_bg.shape[1] + 1) * len(X_bg)
+    monkeypatch.setattr(importance, "_BATCH_BYTES", 2 * rows_per_batch * n_trees * 8)
+    calls = []
+    original = _NodeTable.coalition_leaves
+
+    def counting(self, X_ex, X_bg, position):
+        calls.append(len(X_ex))
+        return original(self, X_ex, X_bg, position)
+
+    monkeypatch.setattr(_NodeTable, "coalition_leaves", counting)
+    for jobs in (1, 2, 3):
+        got = shapley_sampled(model, X_bg, X_ex, n_permutations=5, seed=8, jobs=jobs)
+        assert_same_bits(got.attributions, expected.attributions)
+        assert_same_bits(got.stderr, expected.stderr)
+    assert calls == [2, 2, 2] * 5     # the workers' calls are not seen here
+
+
+def test_shapley_sampled_rejects_wrong_column_count_for_trees():
+    model, X_bg, X_ex = shapley_case("rf")
+    with pytest.raises(ValueError, match="expected 5 feature columns"):
+        shapley_sampled(model, X_bg[:, :4], X_ex[:, :4], n_permutations=2)
 
 
 def test_shapley_sampled_unbiased_across_seeds():

@@ -201,6 +201,32 @@ def test_gbt_one_full_stage_matches_single_tree_residuals():
     assert np.allclose(model.predict(X), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("features_per_split", [None, 0.5])
+def test_gbt_sorting_once_matches_sorting_per_stage(features_per_split):
+    rng = np.random.default_rng(26)
+    X = np.round(rng.normal(size=(80, 5)), 1)     # tied values in every column
+    y = X[:, 0] - X[:, 3] ** 2 + rng.normal(scale=0.2, size=80)
+    params = EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=6, max_depth=4,
+                            min_samples_leaf=2, features_per_split=features_per_split,
+                            bootstrap=False)
+    model = fit_gbt(X, y, params, seed=3)
+    # the stages re-fitted as separate fit_tree calls, each sorting X itself
+    residual, stages, losses = y - y.mean(), [], []
+    for i in range(params.n_estimators):
+        tree = fit_tree(X, residual, params, substream(3, "stage", i))
+        residual = residual - params.learning_rate * tree_predict(tree, X)
+        stages.append(tree)
+        losses.append(float(np.mean(residual * residual)))
+    offsets = np.cumsum([0] + [len(t.feature) for t in stages[:-1]])
+    for column in ("feature", "threshold", "left", "right", "value", "n_samples", "impurity"):
+        expected = np.concatenate([getattr(t, column) + (off if column in ("left", "right") else 0)
+                                   for t, off in zip(stages, offsets)])
+        got = getattr(model.nodes, column)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), column
+    assert np.array_equal(np.array(model.training_mse).view(np.int64),
+                          np.array(losses).view(np.int64))
+
+
 def test_gbt_base_model_predicts_mean():
     # trees constrained to single leaves contribute nothing beyond the mean
     rng = np.random.default_rng(10)
