@@ -418,6 +418,18 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def splits_twice_on_a_path(nodes) -> bool:
+    stack = [(int(root), ()) for root in nodes.roots]
+    while stack:
+        node, path = stack.pop()
+        f = int(nodes.feature[node])
+        if f in path:
+            return True
+        if f >= 0:
+            stack += [(int(nodes.left[node]), path + (f,)), (int(nodes.right[node]), path + (f,))]
+    return False
+
+
 def shapley_case(case):
     """(model, background, explained rows) for one routing edge case."""
     rng = np.random.default_rng(31)
@@ -428,10 +440,9 @@ def shapley_case(case):
         model = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=8,
                                              max_depth=3, bootstrap=False), seed=4)
     elif case == "one-split-feature":
-        # only column 0 matters, so deep paths split on it again and again
+        # only column 0 matters, so paths split on it again and again
         model = fit_forest(X, X[:, 0] ** 2, EnsembleParams(n_estimators=3, max_depth=6), seed=4)
-        assert any(np.bincount(f[f >= 0]).max() > 1 for f in np.split(
-            model.nodes.feature, model.nodes.roots[1:]))
+        assert splits_twice_on_a_path(model.nodes)
     else:
         params = {"min-leaf": dict(min_samples_leaf=5), "subsets": dict(features_per_split=0.4)}
         model = fit_forest(X, y, EnsembleParams(n_estimators=6, max_depth=5,
@@ -459,8 +470,8 @@ def test_shapley_sampled_tree_routing_matches_predict_bit_for_bit(case):
 def test_shapley_sampled_tree_routing_in_chunks_and_workers(monkeypatch):
     model, X_bg, X_ex = shapley_case("rf")
     expected = shapley_sampled(PredictOnly(model), X_bg, X_ex, n_permutations=5, seed=8)
-    # a budget of two coalition rows per batch splits the 6 explained rows
-    # into 3 chunks
+    # a budget of two explained rows' leaves per batch splits the 6
+    # explained rows into 3 chunks
     n_trees, rows_per_batch = model.n_trees, (X_bg.shape[1] + 1) * len(X_bg)
     monkeypatch.setattr(importance, "_BATCH_BYTES", 2 * rows_per_batch * n_trees * 8)
     calls = []
