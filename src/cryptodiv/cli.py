@@ -16,19 +16,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import shutil
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
-from . import data, experiments, fra, importance, index, indicators, models, reports
+from . import data, experiments, fra, index, indicators, reports
 from ._parallel import WorkerDied, fork_map
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
 from .models import EnsembleParams, ModelKind
-from .seeding import derive_seed
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,6 @@ class ConfigError(ValueError):
 class RunConfig:
     manifest: Path
     output_dir: Path
-    seed: int = 0
     periods: tuple[date, ...] = (date(2017, 1, 1), date(2019, 1, 1))
     windows: tuple[int, ...] = (1, 7, 30, 90, 180)
     flat_run_max: int = 60
@@ -55,6 +54,8 @@ class RunConfig:
             raise ValueError(f"flat_run_max must be >= 2, got {self.flat_run_max}")
         if not 0.0 <= self.missing_ratio_max <= 1.0:
             raise ValueError(f"missing_ratio_max must be in [0, 1], got {self.missing_ratio_max}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 _PARAM_KEYS = {"kind", "n_estimators", "max_depth", "min_samples_split",
@@ -118,24 +119,32 @@ def _parse_params(fra_doc: dict, key: str, kind: ModelKind) -> EnsembleParams | 
     return _build(EnsembleParams, _section(fra_doc, key, _PARAM_KEYS, where), where, kind=kind)
 
 
-def _distinct_years(periods: tuple[date, ...], where: str) -> tuple[date, ...]:
-    """Scenario labels carry only the period's year, so periods must not share one."""
+def _checked(where: str, fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), with a bad value reported as a ConfigError naming `where`."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:   # TypeError: a JSON value of the wrong type
+        raise ConfigError(f"bad value for {where}: {exc}") from exc
+
+
+def _periods(values) -> tuple[date, ...]:
+    """ISO period starts. Scenario labels carry only the year, so no two may share one."""
+    periods = tuple(date.fromisoformat(p) for p in values)
     seen: dict[int, date] = {}
     for p in periods:
         if p.year in seen:
-            raise ConfigError(f"{where}: periods {seen[p.year]} and {p} fall in the same year, "
-                              f"so their scenario labels collide ({p.year}_<window>)")
+            raise ValueError(f"periods {seen[p.year]} and {p} fall in the same year, "
+                             f"so their scenario labels collide ({p.year}_<window>)")
         seen[p.year] = p
     return periods
 
 
-def _windows(value, where: str, allow_empty: bool = False) -> tuple[int, ...]:
+def _windows(value, allow_empty: bool = False) -> tuple[int, ...]:
     """A list of integer windows, each at least 1; true/false are not integers here."""
     if not isinstance(value, list) or not all(type(v) is int and v >= 1 for v in value):
-        raise ConfigError(f"bad value for {where}: expected a list of integers >= 1, got {value!r}")
+        raise ValueError(f"expected a list of integers >= 1, got {value!r}")
     if not value and not allow_empty:
-        raise ConfigError(f"bad value for {where}: expected a list of integers >= 1, got [], "
-                          f"which leaves no scenario cells")
+        raise ValueError("expected a list of integers >= 1, got [], which leaves no scenario cells")
     return tuple(value)
 
 
@@ -161,12 +170,10 @@ def load_run_config(path: str | Path) -> RunConfig:
                         gbt_params=_parse_params(fra_doc, "gbt", ModelKind.GRADIENT_BOOST))
     shapley = _build(ShapleySettings, _section(doc, "shapley", _SHAP_KEYS, "shapley"), "shapley")
 
-    try:
-        periods = tuple(date.fromisoformat(p) for p in doc.get("periods", ["2017-01-01", "2019-01-01"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad periods: {exc}") from exc
-    _distinct_years(periods, "periods")
-    windows = _windows(doc.get("windows", [1, 7, 30, 90, 180]), "'windows' at config root")
+    periods = _checked("'periods' at config root", _periods,
+                       doc.get("periods", ["2017-01-01", "2019-01-01"]))
+    windows = _checked("'windows' at config root", _windows,
+                       doc.get("windows", [1, 7, 30, 90, 180]))
 
     given = {}
     if "indicator_sources" in doc:
@@ -177,9 +184,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         given["indicator_sources"] = tuple(sources)
     if "indicator_windows" in doc:
         # an empty list means no indicators
-        given["indicator_windows"] = _windows(doc["indicator_windows"],
-                                              "'indicator_windows' at config root",
-                                              allow_empty=True)
+        given["indicator_windows"] = _checked("'indicator_windows' at config root", _windows,
+                                              doc["indicator_windows"], True)
     pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
@@ -193,49 +199,49 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     return _build(RunConfig, doc, "config root",
                   manifest=base / doc["manifest"], output_dir=base / doc["output_dir"],
-                  seed=pipeline.seed, periods=periods, windows=windows, pipeline=pipeline,
+                  periods=periods, windows=windows, pipeline=pipeline,
                   index_input=index_input, index_params=index_params)
 
 
+# The flags that override a config field, by the object that holds the field:
+# dest -> flag. Each flag's dest is its field's name, and a flag applies when
+# it is given, that is, when its value is not None.
+_RUN_FLAGS = {"output_dir": "--out", "periods": "--periods", "windows": "--windows",
+              "jobs": "--jobs"}
+_PIPELINE_FLAGS = {"seed": "--seed", "holdout_fraction": "--holdout"}
+_FRA_FLAGS = {"target_count": "--target-features", "corr_start": "--corr-start",
+              "corr_step": "--corr-step", "top_k_union": "--top-k"}
+_INDEX_FLAGS = {"power": "--power"}
+
+
+def _flag_value(dest: str, value):
+    """The field value that a flag's parsed argument stands for."""
+    if dest == "output_dir":
+        if not value:
+            raise ValueError("expected a path, got ''")
+        return Path(value)
+    if dest == "periods":
+        return _periods(value.split(","))
+    if dest == "windows":
+        # a window that is not a plain integer stays a string, which _windows rejects
+        return _windows([int(w) if w.isdigit() else w for w in value.split(",")])
+    return value
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    pipeline = cfg.pipeline
-    fra_cfg = pipeline.fra
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None):
-        cfg.output_dir = Path(args.out)
-    if getattr(args, "periods", None):
-        cfg.periods = _distinct_years(
-            tuple(date.fromisoformat(p) for p in args.periods.split(",")), "--periods")
-    if getattr(args, "windows", None):
-        try:
-            windows = [int(w) for w in args.windows.split(",")]
-        except ValueError:
-            windows = args.windows  # not a list of integers, so _windows rejects it
-        cfg.windows = _windows(windows, "--windows")
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        cfg.jobs = args.jobs
-    fra_changes = {}
-    if getattr(args, "target_features", None) is not None:
-        fra_changes["target_count"] = args.target_features
-    if getattr(args, "corr_start", None) is not None:
-        fra_changes["corr_start"] = args.corr_start
-    if getattr(args, "corr_step", None) is not None:
-        fra_changes["corr_step"] = args.corr_step
-    if getattr(args, "top_k", None) is not None:
-        fra_changes["top_k_union"] = args.top_k
-    if fra_changes:
-        fra_cfg = replace(fra_cfg, **fra_changes)
-    holdout = getattr(args, "holdout", None)
-    pipeline = replace(pipeline, fra=fra_cfg,
-                       holdout_fraction=holdout if holdout is not None else pipeline.holdout_fraction,
-                       seed=cfg.seed)
-    if getattr(args, "power", None) is not None:
-        cfg.index_params = replace(cfg.index_params, power=args.power)
-    cfg.pipeline = pipeline
-    return cfg
+    def override(obj, flags: dict[str, str]):
+        # a subcommand may not declare every flag
+        given = {dest: flag for dest, flag in flags.items()
+                 if getattr(args, dest, None) is not None}
+        values = {dest: _checked(flag, _flag_value, dest, getattr(args, dest))
+                  for dest, flag in given.items()}
+        # one replace, as the object's checks may relate two of its fields
+        return _checked(", ".join(given.values()), replace, obj, **values)
+
+    fra_cfg = override(cfg.pipeline.fra, _FRA_FLAGS)
+    pipeline = override(replace(cfg.pipeline, fra=fra_cfg), _PIPELINE_FLAGS)
+    index_params = override(cfg.index_params, _INDEX_FLAGS)
+    return override(replace(cfg, pipeline=pipeline, index_params=index_params), _RUN_FLAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +278,12 @@ def _prepare_corpus(cfg: RunConfig):
     return cleaned, drop_log, imputed, index_rows
 
 
-def _scenario_dataset(cfg: RunConfig, scenario: Scenario):
+def _cell_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[Scenario, data.Dataset]:
+    """The cell that --period and --window name, and its train block."""
+    scenario = Scenario(_checked("--period", date.fromisoformat, args.period), args.window)
     corpus, _, _, _ = _prepare_corpus(cfg)
-    dataset = experiments.prepare_dataset(corpus, scenario, cfg.pipeline)
-    train, test = data.chronological_split(dataset, cfg.pipeline.holdout_fraction)
-    return train, test
+    train, _ = experiments.cell_blocks(corpus, scenario, cfg.pipeline)
+    return scenario, train
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +291,16 @@ def _scenario_dataset(cfg: RunConfig, scenario: Scenario):
 # ---------------------------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
-    params = index.IndexParams(top_n=args.top_n, power=args.power)
+    params = _checked("--top-n, --power", index.IndexParams, top_n=args.top_n, power=args.power)
     snapshots = index.load_mcap_csv(args.mcaps)
     if args.calibrate:
         if not args.reference:
             print("error: --calibrate requires --reference", file=sys.stderr)
             return 1
         reference = _load_single_series_csv(Path(args.reference))
-        sums = {}
-        for snap in snapshots:
-            top = index.select_top_n(snap, params.top_n)
-            sums[snap.date] = float(sum(snap.caps[s] for s in top))
-        candidates = tuple(int(c) for c in args.candidates.split(","))
+        sums = {snap.date: index.top_n_cap(snap, params.top_n) for snap in snapshots}
+        candidates = _checked("--candidates",
+                              lambda: tuple(int(c) for c in args.candidates.split(",")))
         result = index.calibrate_power(sums, reference, candidates)
         params = replace(params, power=result.power)
         if args.fit_out:
@@ -308,7 +313,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _load_single_series_csv(path: Path) -> dict[date, float]:
-    """Read a `date,<value>` CSV into a date -> value map."""
+    """Read a `date,<value>` CSV of finite values, one per date, into a date -> value map."""
     if not path.is_file():
         raise FileNotFoundError(f"reference file not found: {path}")
     out: dict[date, float] = {}
@@ -322,10 +327,32 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
                 continue
             cells = line.split(",")
             try:
-                out[date.fromisoformat(cells[0])] = float(cells[1])
+                day, value = date.fromisoformat(cells[0]), float(cells[1])
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{lineno}: bad row {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {cells[1]!r}")
+            if day in out:
+                raise ValueError(f"{path}:{lineno}: repeated date {day}")
+            out[day] = value
     return out
+
+
+# What `run` owns in its output directory, as globs under it. A run deletes
+# each owned file that it does not write, so nothing of an earlier run is
+# mixed with its own, and it leaves every other file alone.
+_RUN_OWNED = ("scenarios/*.json", "tables/*.csv", "drop_log.csv", "imputation_log.csv",
+              "index.csv")
+
+
+def _write_run_files(out: Path, files: dict[str, str]) -> None:
+    """Write `files` (path under out -> text) and delete every other run-owned file."""
+    for pattern in _RUN_OWNED:
+        for path in sorted(out.glob(pattern)):
+            if path.relative_to(out).as_posix() not in files:
+                path.unlink()
+    for name, text in files.items():
+        reports.atomic_write_text(out / name, text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -345,48 +372,34 @@ def cmd_run(args: argparse.Namespace) -> int:
     results = [o for o in outcomes if not isinstance(o, StageError)]
     failures = [o for o in outcomes if isinstance(o, StageError)]
 
-    out = cfg.output_dir
-    finished = {f"{result.label}.json" for result in results}
-    # an earlier run's cells would otherwise be rendered with this run's
-    for path in sorted((out / "scenarios").glob("*.json")):
-        if path.name not in finished:
-            path.unlink()
-    for result in results:
-        reports.atomic_write_text(out / "scenarios" / f"{result.label}.json",
-                                  experiments.result_to_json(result))
+    files = {f"scenarios/{result.label}.json": experiments.result_to_json(result)
+             for result in results}
     if not failures:
-        reports.write_tables(results, out / "tables")
-    else:
         # after a failure `cryptodiv report` renders the tables from the stored cells
-        shutil.rmtree(out / "tables", ignore_errors=True)
-    reports.atomic_write_text(out / "drop_log.csv", reports.render_drop_log_csv(drop_log))
+        tables = reports.render_tables(results)
+        files.update((f"tables/{name}", text) for name, text in tables.items())
+    files["drop_log.csv"] = reports.render_drop_log_csv(drop_log)
     if imputed:
         lines = ["metric,forward_filled_days"]
         lines += [f"{m},{n}" for m, n in sorted(imputed.items())]
-        reports.atomic_write_text(out / "imputation_log.csv", "\n".join(lines) + "\n")
-    else:
-        (out / "imputation_log.csv").unlink(missing_ok=True)
+        files["imputation_log.csv"] = "\n".join(lines) + "\n"
     if index_rows is not None:
-        reports.atomic_write_text(out / "index.csv",
-                                  index.render_index_csv(index_rows, cfg.index_params.power))
-    else:
-        (out / "index.csv").unlink(missing_ok=True)
+        files["index.csv"] = index.render_index_csv(index_rows, cfg.index_params.power)
+    _write_run_files(cfg.output_dir, files)
     for exc in failures:
         print(f"error: {exc}", file=sys.stderr)
     if failures:
         return 1
-    print(f"completed {len(results)} scenario(s); artifacts in {out}")
+    print(f"completed {len(results)} scenario(s); artifacts in {cfg.output_dir}")
     return 0
 
 
 def cmd_fra(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    scenario = Scenario(date.fromisoformat(args.period), args.window)
-    train, _ = _scenario_dataset(cfg, scenario)
-    seed = experiments.scenario_seed(cfg.pipeline.seed, scenario)
-    fra_config = replace(cfg.pipeline.fra, seed=derive_seed(seed, "fra"))
-    result = fra.fra_reduce(train, fra_config)
-    out_dir = Path(args.out) if args.out else cfg.output_dir / "fra"
+    scenario, train = _cell_train(cfg, args)
+    result = experiments.cell_fra(train, scenario, cfg.pipeline)
+    # --out names the directory itself
+    out_dir = cfg.output_dir if args.output_dir is not None else cfg.output_dir / "fra"
     reports.atomic_write_text(out_dir / f"{scenario.label}_audit.json", fra.audit_json(result))
     lines = ["feature,rank"]
     lines += [f"{f},{i}" for i, f in enumerate(result.survivors, start=1)]
@@ -399,30 +412,11 @@ def cmd_fra(args: argparse.Namespace) -> int:
 
 def cmd_importance(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    scenario = Scenario(date.fromisoformat(args.period), args.window)
-    train, _ = _scenario_dataset(cfg, scenario)
-    seed = experiments.scenario_seed(cfg.pipeline.seed, scenario)
-    features = list(train.feature_names)
-    rf_params = cfg.pipeline.fra.rf_params or fra.DEFAULT_RF_PARAMS
-
-    if args.method == "pearson":
-        report = importance.pearson_report(train.features, train.target)
-    elif args.method == "shapley":
-        report = experiments._shapley_ranking(train, rf_params, cfg.pipeline.shapley, seed,
-                                              jobs=cfg.jobs)
-    else:
-        X = train.matrix(features)
-        model = models.fit_forest(X, train.target, rf_params,
-                                  derive_seed(seed, "importance", "rf"),
-                                  feature_names=features, jobs=cfg.jobs)
-        if args.method == "mdi":
-            report = importance.mdi(model)
-        else:
-            report = importance.pfi(model, X, train.target,
-                                    repeats=cfg.pipeline.fra.pfi_repeats,
-                                    seed=derive_seed(seed, "importance", "pfi"),
-                                    feature_names=features, jobs=cfg.jobs)
-    out = Path(args.out) if args.out else cfg.output_dir / "importance" / f"{scenario.label}_{args.method}.csv"
+    scenario, train = _cell_train(cfg, args)
+    report = experiments.cell_importance(train, scenario, cfg.pipeline, args.method, cfg.jobs)
+    # --out names the report file itself
+    out = (cfg.output_dir if args.output_dir is not None
+           else cfg.output_dir / "importance" / f"{scenario.label}_{args.method}.csv")
     reports.atomic_write_text(out, report.to_csv())
     print(f"wrote {args.method} report for {scenario.label} to {out}")
     return 0
@@ -441,8 +435,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no stored scenario results in {scenario_dir}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else results_dir / "tables"
-    written = reports.write_tables(results, out_dir)
-    print(f"re-rendered {len(written)} table(s) from {len(results)} scenario(s) into {out_dir}")
+    tables = reports.render_tables(results)
+    for name, text in tables.items():
+        reports.atomic_write_text(out_dir / name, text)
+    print(f"re-rendered {len(tables)} table(s) from {len(results)} scenario(s) into {out_dir}")
     return 0
 
 
@@ -471,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+        p.add_argument("--out", dest="output_dir")
         p.add_argument("--periods")
         p.add_argument("--windows")
-        p.add_argument("--target-features", type=int, dest="target_features")
-        p.add_argument("--corr-start", type=float, dest="corr_start")
-        p.add_argument("--corr-step", type=float, dest="corr_step")
-        p.add_argument("--top-k", type=int, dest="top_k")
+        p.add_argument("--target-features", type=int, dest="target_count")
+        p.add_argument("--corr-start", type=float)
+        p.add_argument("--corr-step", type=float)
+        p.add_argument("--top-k", type=int, dest="top_k_union")
         p.add_argument("--power", type=int)
-        p.add_argument("--holdout", type=float)
+        p.add_argument("--holdout", type=float, dest="holdout_fraction")
 
     p_run = sub.add_parser("run", help="run every scenario cell and write artifacts")
     add_common(p_run)
@@ -496,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_imp)
     p_imp.add_argument("--period", required=True)
     p_imp.add_argument("--window", required=True, type=int)
-    p_imp.add_argument("--method", required=True,
-                       choices=["pearson", "mdi", "pfi", "shapley"])
+    p_imp.add_argument("--method", required=True, choices=experiments.IMPORTANCE_METHODS)
     p_imp.add_argument("--jobs", type=int,
                        help="worker processes for the trees, permutations or feature chunks")
     p_imp.set_defaults(func=cmd_importance)

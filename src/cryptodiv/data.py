@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from itertools import compress
 from pathlib import Path
@@ -69,10 +69,6 @@ class MetricSeries:
     def points(self) -> list[tuple[date, float | None]]:
         return [(d, None if np.isnan(v) else float(v))
                 for d, v in zip(self.dates, self.values)]
-
-    def value_map(self) -> dict[date, float]:
-        """Date -> value for the observed (non-missing) points."""
-        return {d: float(v) for d, v in zip(self.dates, self.values) if not np.isnan(v)}
 
 
 @dataclass(frozen=True)
@@ -480,16 +476,17 @@ def slice_period(corpus: Dataset, scenario: Scenario) -> Dataset:
     return sliced.select(n for n, col in sliced.features.items() if not np.isnan(col).any())
 
 
-def make_target(dataset: Dataset, index_price: MetricSeries, window: int) -> Dataset:
+def make_target(dataset: Dataset, price: np.ndarray, window: int) -> Dataset:
     """Attach the future index price as the target column.
 
-    target[t] = index price at date t + window days; trailing rows without a
-    future value are removed.
+    `price` is the index price on the dataset's daily calendar, NaN where it
+    is missing. target[t] = price[t + window], the price `window` days later;
+    trailing rows without a future value are removed.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    price = index_price.value_map()
-    future = np.array([price.get(d + timedelta(days=window), np.nan) for d in dataset.dates])
+    future = np.full(dataset.n_rows, np.nan)
+    future[:max(dataset.n_rows - window, 0)] = price[window:]
     available = ~np.isnan(future)
     if not available.any():
         raise ValueError("index price missing for all rows")

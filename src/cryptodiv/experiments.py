@@ -10,20 +10,22 @@ single-category baselines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Category, Dataset, MetricSeries, Scenario, chronological_split, make_target, slice_period
-from .fra import FinalVector, FraConfig, ReducedFeatureSet, final_vector, fra_reduce
-from .importance import mdi, shapley_sampled
+from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
+from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
+                  fra_reduce)
+from .importance import ImportanceReport, mdi, pearson_report, pfi, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
 
 SHORT_TERM_WINDOWS = (1, 7)
 LONG_TERM_WINDOWS = (90, 180)
+IMPORTANCE_METHODS = ("pearson", "mdi", "pfi", "shapley")
 
 
 class StageError(RuntimeError):
@@ -180,18 +182,15 @@ def unique_top_k(group_a: HorizonGroup, group_b: HorizonGroup, k: int = 20
 ModelFactory = Callable[[np.ndarray, np.ndarray, Sequence[str]], TreeEnsemble]
 
 
-def improvement(model_factory: ModelFactory, dataset: Dataset,
+def improvement(model_factory: ModelFactory, train: Dataset, test: Dataset,
                 final_features: Sequence[str],
-                category_partitions: Mapping[Category, Sequence[str]],
-                holdout_fraction: float) -> ImprovementResult:
+                category_partitions: Mapping[Category, Sequence[str]]) -> ImprovementResult:
     """MSE percentage decrease of the diverse vector over each category arm.
 
     Every arm trains with the same factory (hence identical hyperparameters
-    and seed) on the same chronological split; only the feature subset
+    and seed) on `train` and is scored on `test`; only the feature subset
     differs. improvement = (MSE_category - MSE_diverse) / MSE_diverse * 100.
     """
-    train, test = chronological_split(dataset, holdout_fraction)
-
     def arm_mse(features: Sequence[str]) -> float:
         feats = sorted(features)
         model = model_factory(train.matrix(feats), train.target, feats)
@@ -233,13 +232,48 @@ def prepare_dataset(corpus: Dataset, scenario: Scenario, config: PipelineConfig)
     target = config.target_metric
     if target not in corpus.features:
         raise ValueError(f"target metric {target!r} not in corpus")
-    index_price = MetricSeries(target, corpus.categories[target], corpus.dates,
-                               corpus.features[target])
     dataset = slice_period(corpus, scenario)
     features = [n for n in dataset.feature_names if n != target]
     if not features:
         raise ValueError("no candidate features besides the target metric")
-    return make_target(dataset.select(features), index_price, scenario.window)
+    # the slice runs to the end of the corpus, so it is the corpus's last rows
+    price = corpus.features[target][corpus.n_rows - dataset.n_rows:]
+    return make_target(dataset.select(features), price, scenario.window)
+
+
+def cell_blocks(corpus: Dataset, scenario: Scenario,
+                config: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """The chronological train and test blocks of one cell of the prepared corpus."""
+    dataset = prepare_dataset(corpus, scenario, config)
+    return chronological_split(dataset, config.holdout_fraction)
+
+
+def cell_fra(train: Dataset, scenario: Scenario, config: PipelineConfig) -> ReducedFeatureSet:
+    """The feature-reduction loop of one cell, on the cell's FRA seed."""
+    seed = derive_seed(scenario_seed(config.seed, scenario), "fra")
+    return fra_reduce(train, replace(config.fra, seed=seed))
+
+
+def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
+                    method: str, jobs: int = 1) -> ImportanceReport:
+    """One importance report over a cell's train block, from a forest with the
+    `fra.rf` parameters or DEFAULT_RF_PARAMS (never grid-searched ones)."""
+    if method not in IMPORTANCE_METHODS:
+        raise ValueError(f"unknown importance method {method!r}")
+    seed = scenario_seed(config.seed, scenario)
+    rf_params = config.fra.rf_params or DEFAULT_RF_PARAMS
+    if method == "pearson":
+        return pearson_report(train.features, train.target)
+    if method == "shapley":
+        return _shapley_ranking(train, rf_params, config.shapley, seed, jobs=jobs)
+    features = list(train.feature_names)
+    X = train.matrix(features)
+    model = fit_forest(X, train.target, rf_params, derive_seed(seed, "importance", "rf"),
+                       feature_names=features, jobs=jobs)
+    if method == "mdi":
+        return mdi(model)
+    return pfi(model, X, train.target, repeats=config.fra.pfi_repeats,
+               seed=derive_seed(seed, "importance", "pfi"), feature_names=features, jobs=jobs)
 
 
 def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:
@@ -255,11 +289,8 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
         except Exception as exc:
             raise StageError(label, name, exc) from exc
 
-    dataset = stage("prepare", prepare_dataset, corpus, scenario, config)
-    train, _test = stage("split", chronological_split, dataset, config.holdout_fraction)
-
-    fra_config = replace(config.fra, seed=derive_seed(seed, "fra"))
-    fra_result: ReducedFeatureSet = stage("fra", fra_reduce, train, fra_config)
+    train, test = stage("prepare", cell_blocks, corpus, scenario, config)
+    fra_result: ReducedFeatureSet = stage("fra", cell_fra, train, scenario, config)
 
     shap_report = stage("shapley", _shapley_ranking, train, fra_result.rf_params,
                         config.shapley, seed)
@@ -285,8 +316,8 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     def factory(X, y, feats):
         return fit_forest(X, y, rf_params, improvement_seed, feature_names=feats)
 
-    improvement_result = stage("improvement", improvement, factory, dataset,
-                               fv.features, partitions, config.holdout_fraction)
+    improvement_result = stage("improvement", improvement, factory, train, test,
+                               fv.features, partitions)
 
     return ScenarioResult(
         scenario=scenario,
@@ -339,16 +370,7 @@ def _fit_final_rf(train: Dataset, features: Sequence[str], params: EnsembleParam
 
 
 def _params_summary(params: EnsembleParams) -> dict:
-    return {
-        "kind": params.kind.value,
-        "n_estimators": params.n_estimators,
-        "max_depth": params.max_depth,
-        "min_samples_split": params.min_samples_split,
-        "min_samples_leaf": params.min_samples_leaf,
-        "features_per_split": params.features_per_split,
-        "learning_rate": params.learning_rate,
-        "bootstrap": params.bootstrap,
-    }
+    return {**asdict(params), "kind": params.kind.value}
 
 
 # ---------------------------------------------------------------------------

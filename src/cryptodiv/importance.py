@@ -127,58 +127,46 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n_features = getattr(model, "n_features", X.shape[1] if X.ndim == 2 else 0)
-    if X.ndim != 2 or X.shape[1] != n_features or len(y) != len(X):
-        raise ValueError(f"X/y shapes {X.shape}/{y.shape} do not match model with {n_features} features")
+    if X.ndim != 2 or X.shape[1] != model.n_features or len(y) != len(X):
+        raise ValueError(f"X/y shapes {X.shape}/{y.shape} do not match model with "
+                         f"{model.n_features} features")
     names = list(feature_names) if feature_names is not None else list(_names(model, X.shape[1]))
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match X columns")
     n = len(y)
-    if isinstance(model, TreeEnsemble):
-        # Permuting column j only moves a (row, tree) pair whose baseline
-        # path splits on j, so only those pairs are re-routed and every other
-        # pair keeps its cached output. A feature no tree reads scores
-        # exactly 0 without any routing at all.
-        nodes = model.nodes
-        per_tree = model.per_tree_predictions(X)
-        total = per_tree.sum(axis=0)
-        baseline = mse(y, model.combine_tree_total(total))
-        base_leaves = nodes.leaves(X, np.broadcast_to(nodes.roots, (n, model.n_trees))).T
-        trees_by_feature: dict[int, list[int]] = {}
-        for t, feats in enumerate(model.tree_feature_sets()):
-            for f in feats:
-                trees_by_feature.setdefault(int(f), []).append(t)
+    # Permuting column j only moves a (row, tree) pair whose baseline path
+    # splits on j, so only those pairs are re-routed and every other pair
+    # keeps its cached output. A feature no tree reads scores exactly 0
+    # without any routing at all.
+    nodes = model.nodes
+    per_tree = model.per_tree_predictions(X)
+    total = per_tree.sum(axis=0)
+    baseline = mse(y, model.combine_tree_total(total))
+    base_leaves = nodes.leaves(X, np.broadcast_to(nodes.roots, (n, model.n_trees))).T
+    trees_by_feature: dict[int, list[int]] = {}
+    for t, feats in enumerate(model.tree_feature_sets()):
+        for f in feats:
+            trees_by_feature.setdefault(int(f), []).append(t)
 
-        def score(X_work: np.ndarray, j: int) -> float:
-            affected = trees_by_feature.get(j, [])
-            if not affected:
-                return 0.0
-            outputs = per_tree[affected]
-            unaffected_total = total - outputs.sum(axis=0)
-            tree, row = np.nonzero(nodes.path_reads(j)[base_leaves[affected]])
-            start = nodes.roots[affected][tree]
-            deltas = []
-            for r in range(repeats):
-                perm = substream(seed, "pfi", names[j], r).permutation(n)
-                X_work[:, j] = X[perm, j]
-                outputs[tree, row] = nodes.value[nodes.leaves(X_work, start, row)]
-                # sum() adds the affected trees' rows in order, as one
-                # predict_tree call per tree would
-                new_total = unaffected_total + sum(outputs)
-                deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
-            X_work[:, j] = X[:, j]
-            return float(np.mean(deltas))
-    else:
-        baseline = mse(y, model.predict(X))
-
-        def score(X_work: np.ndarray, j: int) -> float:
-            deltas = []
-            for r in range(repeats):
-                perm = substream(seed, "pfi", names[j], r).permutation(n)
-                X_work[:, j] = X[perm, j]
-                deltas.append(mse(y, model.predict(X_work)) - baseline)
-            X_work[:, j] = X[:, j]
-            return float(np.mean(deltas))
+    def score(X_work: np.ndarray, j: int) -> float:
+        affected = trees_by_feature.get(j, [])
+        if not affected:
+            return 0.0
+        outputs = per_tree[affected]
+        unaffected_total = total - outputs.sum(axis=0)
+        tree, row = np.nonzero(nodes.path_reads(j)[base_leaves[affected]])
+        start = nodes.roots[affected][tree]
+        deltas = []
+        for r in range(repeats):
+            perm = substream(seed, "pfi", names[j], r).permutation(n)
+            X_work[:, j] = X[perm, j]
+            outputs[tree, row] = nodes.value[nodes.leaves(X_work, start, row)]
+            # sum() adds the affected trees' rows in order, as one
+            # predict_tree call per tree would
+            new_total = unaffected_total + sum(outputs)
+            deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
+        X_work[:, j] = X[:, j]
+        return float(np.mean(deltas))
 
     def score_chunk(columns: np.ndarray) -> list[float]:
         X_work = X.copy()   # one working copy per chunk, restored after each feature

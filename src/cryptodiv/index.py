@@ -56,11 +56,14 @@ def select_top_n(snapshot: McapSnapshot, n: int) -> list[str]:
     return ranked[:n]
 
 
+def top_n_cap(snapshot: McapSnapshot, n: int) -> float:
+    """S, the summed market cap of the snapshot's top-n constituents."""
+    return float(sum(snapshot.caps[s] for s in select_top_n(snapshot, n)))
+
+
 def crypto100(snapshot: McapSnapshot, params: IndexParams = IndexParams()) -> float:
     """Index value S / (log10 S)^p over the snapshot's top-n constituents."""
-    constituents = select_top_n(snapshot, params.top_n)
-    total = float(sum(snapshot.caps[s] for s in constituents))
-    return index_value(total, params.power, when=snapshot.date)
+    return index_value(top_n_cap(snapshot, params.top_n), params.power, when=snapshot.date)
 
 
 def index_value(total_cap: float, power: int, when: date | None = None) -> float:
@@ -151,8 +154,7 @@ def index_series(snapshots: Sequence[McapSnapshot], params: IndexParams) -> list
     """(date, summed top-n cap, index value) per snapshot."""
     out = []
     for snap in snapshots:
-        constituents = select_top_n(snap, params.top_n)
-        total = float(sum(snap.caps[s] for s in constituents))
+        total = top_n_cap(snap, params.top_n)
         out.append((snap.date, total, index_value(total, params.power, when=snap.date)))
     return out
 

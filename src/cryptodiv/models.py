@@ -203,13 +203,16 @@ class _NodeTable:
 class TreeEnsemble:
     """A fitted forest or boosting stack; immutable after fitting."""
 
-    kind: ModelKind
     params: EnsembleParams
     nodes: _NodeTable
     n_features: int
     feature_names: tuple[str, ...] | None = None
     base_value: float = 0.0
     training_mse: tuple[float, ...] = ()  # boosting only: per-stage train MSE
+
+    @property
+    def kind(self) -> ModelKind:
+        return self.params.kind
 
     @property
     def n_trees(self) -> int:
@@ -392,8 +395,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
 
     trees = fork_map(grow, range(params.n_estimators), jobs)
     return TreeEnsemble(
-        kind=ModelKind.RANDOM_FOREST, params=params, nodes=_NodeTable.concat(trees),
-        n_features=X.shape[1],
+        params=params, nodes=_NodeTable.concat(trees), n_features=X.shape[1],
         feature_names=tuple(feature_names) if feature_names is not None else None,
     )
 
@@ -422,8 +424,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
         trees.append(tree)
         stage_mse.append(float(np.mean(residual * residual)))
     return TreeEnsemble(
-        kind=ModelKind.GRADIENT_BOOST, params=params, nodes=_NodeTable.concat(trees),
-        n_features=X.shape[1],
+        params=params, nodes=_NodeTable.concat(trees), n_features=X.shape[1],
         feature_names=tuple(feature_names) if feature_names is not None else None,
         base_value=base, training_mse=tuple(stage_mse),
     )

@@ -142,10 +142,9 @@ def render_drop_log_csv(records: Iterable[DropRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_tables(results: Sequence[ScenarioResult], out_dir: str | Path) -> list[Path]:
-    """Render and atomically write every aggregate table; returns the paths."""
-    out_dir = Path(out_dir)
-    tables = {
+def render_tables(results: Sequence[ScenarioResult]) -> dict[str, str]:
+    """Every aggregate table, file name -> CSV text."""
+    return {
         "feature_vectors.csv": render_feature_vectors_csv(results),
         "top_features.csv": render_top_features_csv(results),
         "unique_features.csv": render_unique_features_csv(results),
@@ -153,9 +152,3 @@ def write_tables(results: Sequence[ScenarioResult], out_dir: str | Path) -> list
         "improvement_by_category.csv": render_improvement_by_category_csv(results),
         "contribution_factors.csv": render_contribution_csv(results),
     }
-    written = []
-    for name, text in tables.items():
-        path = out_dir / name
-        atomic_write_text(path, text)
-        written.append(path)
-    return written

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cryptodiv import experiments, indicators, models
+from cryptodiv import experiments, fra, indicators, models
 from cryptodiv.cli import ConfigError, load_run_config, main
 from cryptodiv.experiments import StageError
 
@@ -105,6 +105,44 @@ def test_index_command_missing_file(tmp_path, capsys):
     code = main(["index", "--mcaps", str(missing), "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("2020-01-05,nan", "non-finite value 'nan'"),
+    ("2020-01-05,-inf", "non-finite value '-inf'"),
+    ("2020-01-03,1000.0", "repeated date 2020-01-03"),
+], ids=["nan", "inf", "repeated-date"])
+def test_index_calibrate_rejects_bad_reference_row(tmp_path, capsys, row, problem):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=40)
+    lines = ["date,btc_price"]
+    lines += [f"{(date(2020, 1, 1) + timedelta(days=i)).isoformat()},{1000.0 + i}"
+              for i in range(40)]
+    lines.insert(6, row)   # file line 7
+    reference = tmp_path / "btc.csv"
+    reference.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "index.csv"
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(out), "--calibrate",
+                 "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == f"error: {reference}:7: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--top-n", "0"], "--top-n, --power: top_n must be >= 1, got 0"),
+    (["--power", "0"], "--top-n, --power: power must be >= 1, got 0"),
+    (["--calibrate", "--candidates", "5,x"], "--candidates: invalid literal for int()"),
+], ids=["top-n", "power", "candidates"])
+def test_index_bad_flag_value_names_the_flag(tmp_path, capsys, flags, named):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=40)
+    reference = tmp_path / "btc.csv"
+    reference.write_text("date,btc_price\n2020-01-01,1000.0\n")
+    out = tmp_path / "index.csv"
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(out),
+                 "--reference", str(reference), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad value for {named}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +312,7 @@ def test_run_worker_death_is_one_error_line(tmp_path, monkeypatch, capsys):
 def test_run_jobs_below_one_rejected(tmp_path, capsys, jobs):
     config, out_dir, _ = small_setup(tmp_path)
     assert main(["run", "--config", str(config), "--jobs", jobs]) == 1
-    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert f"bad value for --jobs: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -426,6 +464,61 @@ def test_importance_command_writes_report(tmp_path):
         assert all(line.endswith(f",{method}") for line in lines[1:])
 
 
+def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch):
+    config, out_dir, _ = small_setup(tmp_path, seed=3)
+    by_cell = {}
+    original = experiments.fra_reduce
+
+    def capturing(train, fra_config):
+        result = original(train, fra_config)
+        by_cell.setdefault((train.dates[0], train.window), result)
+        return result
+
+    monkeypatch.setattr(experiments, "fra_reduce", capturing)
+    assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
+    assert len(by_cell) == 4
+    assert main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"]) == 0
+    audit = (out_dir / "fra" / "2019_7_audit.json").read_text()
+    assert audit == fra.audit_json(by_cell[(date(2019, 1, 1), 7)])
+
+
+def test_importance_shapley_writes_the_shapley_report_of_run(tmp_path, monkeypatch):
+    config = tiny_importance_setup(tmp_path)
+    reports = []
+    original = experiments.shapley_sampled
+
+    def capturing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result.report)
+        return result
+
+    monkeypatch.setattr(experiments, "shapley_sampled", capturing)
+    cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
+    assert main(["run", "--config", str(config), *cell]) == 0
+    assert len(reports) == 1
+    out = tmp_path / "shapley.csv"
+    assert main(importance_args(config, "shapley", out, 1)) == 0
+    assert out.read_text() == reports[0].to_csv()
+
+
+def test_rerun_keeps_files_it_does_not_own(tmp_path):
+    config, out_dir, _ = small_setup(tmp_path)
+    cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
+    reference = tmp_path / "reference"
+    assert main(["run", "--config", str(config), *cell, "--out", str(reference)]) == 0
+    assert main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"]) == 0
+    kept = tree_bytes(out_dir)
+    assert sorted(kept) == ["fra/2019_7_audit.json", "fra/2019_7_survivors.csv"]
+    (out_dir / "notes.txt").write_text("mine\n")
+    kept["notes.txt"] = b"mine\n"
+    # files of the kinds a run owns, left by an earlier run
+    (out_dir / "scenarios").mkdir()
+    (out_dir / "scenarios" / "2018_7.json").write_text("{}\n")
+    (out_dir / "index.csv").write_text("date,sum_mcap,index_value,power\n")
+    assert main(["run", "--config", str(config), *cell]) == 0
+    assert tree_bytes(out_dir) == {**kept, **tree_bytes(reference)}
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -475,6 +568,32 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     err = capsys.readouterr().err
     assert "bad value for --windows: expected a list of integers >= 1" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("run", "--windows", "", "bad value for --windows: expected a list of integers >= 1"),
+    ("run", "--periods", "", "bad value for --periods: Invalid isoformat string"),
+    ("run", "--periods", "2018-13-01", "bad value for --periods: month must be in 1..12"),
+    ("run", "--target-features", "0",
+     "bad value for --target-features: target_count must be >= 1, got 0"),
+    ("run", "--holdout", "1.5",
+     "bad value for --holdout: holdout_fraction must be in (0, 1), got 1.5"),
+    ("run", "--power", "0", "bad value for --power: power must be >= 1, got 0"),
+    ("run", "--out", "", "bad value for --out: expected a path, got ''"),
+    ("fra", "--top-k", "99", "bad value for --top-k: top_k_union must be in [1, target_count]"),
+    ("importance", "--out", "", "bad value for --out: expected a path, got ''"),
+], ids=["windows-empty", "periods-empty", "periods-month", "target-features", "holdout",
+        "power", "out-empty", "fra-top-k", "importance-out-empty"])
+def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
+                                       named):
+    config, out_dir, _ = small_setup(tmp_path)
+    monkeypatch.chdir(tmp_path)   # an empty --out would mean this directory
+    cell = {"run": [], "fra": ["--period", "2019-01-01", "--window", "7"],
+            "importance": ["--period", "2019-01-01", "--window", "7", "--method", "pearson"]}
+    assert main([command, "--config", str(config), *cell[command], flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus"]
 
 
 def test_missing_config_file(tmp_path, capsys):

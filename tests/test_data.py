@@ -357,42 +357,43 @@ def _plain_dataset(day, n, feature_values=None):
                    categories={"x": Category.MACRO})
 
 
-def test_make_target_shift_by_one(day, make_series):
+def test_make_target_shift_by_one(day):
     ds = _plain_dataset(day, 3)
-    price = make_series("idx", [10.0, 11.0, 12.0])
+    price = np.array([10.0, 11.0, 12.0])
     out = make_target(ds, price, window=1)
     assert out.n_rows == 2
     assert list(out.target) == [11.0, 12.0]
     assert out.window == 1
 
 
-def test_make_target_window_zero_rejected(day, make_series):
+def test_make_target_window_zero_rejected(day):
     ds = _plain_dataset(day, 3)
-    price = make_series("idx", [10.0, 11.0, 12.0])
+    price = np.array([10.0, 11.0, 12.0])
     with pytest.raises(ValueError, match="window"):
         make_target(ds, price, window=0)
 
 
-def test_make_target_length_arithmetic(day, make_series):
+def test_make_target_length_arithmetic(day):
     ds = _plain_dataset(day, 2000)
-    price = make_series("idx", [float(i) for i in range(2000)])
+    price = np.arange(2000.0)
     out = make_target(ds, price, window=180)
     assert out.n_rows == 1820
 
 
-def test_make_target_missing_everywhere(day, make_series):
+def test_make_target_missing_everywhere(day):
     ds = _plain_dataset(day, 3)
-    price = make_series("idx", [1.0, 2.0, 3.0], start=500)
+    # the price series starts after the dataset's last day
+    price = np.full(3, np.nan)
     with pytest.raises(ValueError, match="missing for all rows"):
         make_target(ds, price, window=1)
 
 
-def test_make_target_shift_round_trip(day, make_series):
+def test_make_target_shift_round_trip(day):
     # reversing the shift recovers the index series on the overlap
     n, w = 50, 7
     price_values = [float(100 + i * i % 31) for i in range(n)]
     ds = _plain_dataset(day, n)
-    price = make_series("idx", price_values)
+    price = np.array(price_values)
     out = make_target(ds, price, window=w)
     for t in range(out.n_rows):
         assert out.target[t] == price_values[t + w]

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from cryptodiv.data import Category, Dataset, Scenario
+from cryptodiv.data import Category, Dataset, Scenario, chronological_split
 from cryptodiv.experiments import (HorizonGroup, PipelineConfig, ShapleySettings, StageError,
                                    contribution_factors, group_horizons, improvement,
                                    prepare_dataset, result_from_json, result_to_json,
@@ -155,8 +155,9 @@ def test_improvement_formula_spot_checks():
     def factory(X, y, feats):
         return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
 
-    result = improvement(factory, ds, ["a", "b"],
-                         {Category.ONCHAIN_BTC: ["a"], Category.MACRO: ["b"]}, 0.2)
+    train, test = chronological_split(ds, 0.2)
+    result = improvement(factory, train, test, ["a", "b"],
+                         {Category.ONCHAIN_BTC: ["a"], Category.MACRO: ["b"]})
     for cat, m in result.mse_by_category.items():
         expected = (m - result.mse_diverse) / result.mse_diverse * 100.0
         assert result.improvement_by_category[cat] == pytest.approx(expected, abs=1e-12)
@@ -181,9 +182,10 @@ def test_improvement_degenerate_leak_rejected():
         return fit_forest(X, y, EnsembleParams(n_estimators=2, max_depth=3), 0,
                           feature_names=feats)
 
+    train, test = chronological_split(ds, 0.2)
     with pytest.raises(ValueError, match="exactly 0"):
-        improvement(factory, ds, ["a", "b"],
-                    {Category.MACRO: ["a"], Category.TECHNICAL: ["b"]}, 0.2)
+        improvement(factory, train, test, ["a", "b"],
+                    {Category.MACRO: ["a"], Category.TECHNICAL: ["b"]})
 
 
 def test_improvement_empty_partition_rejected():
@@ -192,8 +194,9 @@ def test_improvement_empty_partition_rejected():
     def factory(X, y, feats):
         return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
 
+    train, test = chronological_split(ds, 0.2)
     with pytest.raises(ValueError, match="empty"):
-        improvement(factory, ds, ["a"], {Category.MACRO: []}, 0.2)
+        improvement(factory, train, test, ["a"], {Category.MACRO: []})
 
 
 # ---------------------------------------------------------------------------

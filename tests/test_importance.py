@@ -285,16 +285,13 @@ def test_pfi_deterministic_and_name_keyed():
     assert a.scores == b.scores
 
 
-@pytest.mark.parametrize("kind", ["rf", "linear"])
+@pytest.mark.parametrize("kind", ["rf"])
 def test_pfi_equal_at_jobs_1_2_3(kind):
     rng = np.random.default_rng(24)
     X = rng.normal(size=(60, 5))
     y = X[:, 0] + X[:, 1] * X[:, 3] + rng.normal(scale=0.2, size=60)
-    if kind == "rf":
-        model = fit_forest(X, y, EnsembleParams(n_estimators=4, max_depth=4,
-                                                features_per_split=0.6), seed=3)
-    else:
-        model = LinearStub([1.0, -0.5, 0.0, 2.0, 0.3])
+    model = fit_forest(X, y, EnsembleParams(n_estimators=4, max_depth=4,
+                                            features_per_split=0.6), seed=3)
     reports = [pfi(model, X, y, repeats=2, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
 
     def bits(report):
