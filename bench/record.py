@@ -2,19 +2,22 @@
 
     python3 bench/record.py --out BENCH_7.json [--seed 7] [--seconds 30] [--jobs N]
 
-Run it from the root of a source checkout. It runs `perfbench/run.py` for
-each workload (`study`, `wide_ingest`, `explain`) at `--trace 0` (end-to-end
-metrics) and at `--trace 1` (per-layer metrics). Then it writes the
-acceptance criterion-8 corpus (300 columns x 2000 days, 10 cells, from
-`tests/synthetic.py`) and times one `cryptodiv run` on it at `--jobs 1` and
-one at `--jobs N`, each in a fresh process, and checks that the two artifact
-trees are byte-identical. The output file holds every result together with
-the environment (CPU, Python and numpy versions, commit).
+Run it from the root of a source checkout. It first byte-compiles `src/`,
+so that the times do not depend on whether the checkout already held
+bytecode. It runs `perfbench/run.py` for each workload (`study`,
+`wide_ingest`, `explain`) at `--trace 0` (end-to-end metrics) and at
+`--trace 1` (per-layer metrics). Then it writes the acceptance criterion-8
+corpus (300 columns x 2000 days, 10 cells, from `tests/synthetic.py`) and
+times one `cryptodiv run` on it at `--jobs 1` and one at `--jobs N`, each in
+a fresh process, and checks that the two artifact trees are byte-identical.
+The output file holds every result together with the environment (CPU,
+Python and numpy versions, commit).
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import subprocess
@@ -72,6 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {"environment": perfbench.environment(ROOT, len(os.sched_getaffinity(0))),
               "settings": {"seed": args.seed, "seconds": args.seconds, "jobs": args.jobs},
               "perfbench": {}}
+    if not compileall.compile_dir(ROOT / "src", quiet=1):
+        raise SystemExit("byte-compiling src/ failed")
     for workload in WORKLOADS:
         for trace in (0, 1):
             print(f"perfbench {workload} --trace {trace}", file=sys.stderr)

@@ -18,7 +18,7 @@ from .importance import (ConstantColumnError, ImportanceReport, ShapleyResult, m
                          pearson, pfi, shapley_exact, shapley_sampled)
 from .index import (CalibrationResult, IndexDomainError, IndexParams, McapSnapshot,
                     calibrate_power, crypto100, select_top_n)
-from .indicators import IndicatorKind, IndicatorSpec, bollinger, ema, rsi, sma
+from .indicators import bollinger, ema, rsi, sma
 from .models import (CVResult, EnsembleParams, ModelKind, TreeEnsemble, fit_forest, fit_gbt,
                      fit_tree, grid_search_cv, mse)
 

@@ -58,7 +58,7 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
-_PARAM_KEYS = {"kind", "n_estimators", "max_depth", "min_samples_split",
+_PARAM_KEYS = {"n_estimators", "max_depth", "min_samples_split",
                "min_samples_leaf", "features_per_split", "learning_rate", "bootstrap"}
 _FRA_KEYS = {"target_count", "corr_start", "corr_step", "top_k_union", "tune_first",
              "cv_folds", "pfi_repeats", "max_iterations", "rf", "gbt"}
@@ -241,6 +241,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     fra_cfg = override(cfg.pipeline.fra, _FRA_FLAGS)
     pipeline = override(replace(cfg.pipeline, fra=fra_cfg), _PIPELINE_FLAGS)
     index_params = override(cfg.index_params, _INDEX_FLAGS)
+    if args.power is not None and cfg.index_input is None:
+        raise ConfigError("--power given, but the config has no 'index' section")
     return override(replace(cfg, pipeline=pipeline, index_params=index_params), _RUN_FLAGS)
 
 
@@ -263,7 +265,6 @@ def _prepare_corpus(cfg: RunConfig):
             tuple(d for d, _, _ in index_rows),
             [v for _, _, v in index_rows],
         )
-        corpus = {k: corpus[k] for k in sorted(corpus)}
     pipeline = cfg.pipeline
     # a source that cleaning drops is skipped later, and drop_log.csv says why
     unknown = sorted(set(pipeline.indicator_sources) - set(corpus))
@@ -272,9 +273,8 @@ def _prepare_corpus(cfg: RunConfig):
                           f"manifest nor the index target")
     cleaned, drop_log, imputed = data.clean_corpus(
         corpus, flat_run_max=cfg.flat_run_max, missing_ratio_max=cfg.missing_ratio_max)
-    if pipeline.indicator_sources:
-        battery = indicators.default_battery(pipeline.indicator_sources, pipeline.indicator_windows)
-        cleaned = indicators.augment_corpus(cleaned, battery)
+    cleaned = indicators.augment_corpus(cleaned, pipeline.indicator_sources,
+                                        pipeline.indicator_windows)
     return cleaned, drop_log, imputed, index_rows
 
 
@@ -291,17 +291,25 @@ def _cell_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[Scenario, dat
 # ---------------------------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
-    params = _checked("--top-n, --power", index.IndexParams, top_n=args.top_n, power=args.power)
+    power = {} if args.power is None else {"power": args.power}
+    params = _checked("--top-n, --power", index.IndexParams, top_n=args.top_n, **power)
+    # each flag that applies only to one mode is rejected in the other
+    if args.calibrate and args.power is not None:
+        raise ConfigError("--power given with --calibrate, which chooses the power")
+    calibration = [flag for flag, value in (("--reference", args.reference),
+                                            ("--candidates", args.candidates),
+                                            ("--fit-out", args.fit_out)) if value is not None]
+    if calibration and not args.calibrate:
+        raise ConfigError(f"{', '.join(calibration)} given without --calibrate")
+    if args.calibrate and not args.reference:
+        raise ConfigError("--calibrate requires --reference")
     snapshots = index.load_mcap_csv(args.mcaps)
     if args.calibrate:
-        if not args.reference:
-            print("error: --calibrate requires --reference", file=sys.stderr)
-            return 1
         reference = _load_single_series_csv(Path(args.reference))
         sums = {snap.date: index.top_n_cap(snap, params.top_n) for snap in snapshots}
-        candidates = _checked("--candidates",
-                              lambda: tuple(int(c) for c in args.candidates.split(",")))
-        result = index.calibrate_power(sums, reference, candidates)
+        candidates = {} if args.candidates is None else {"candidate_powers": _checked(
+            "--candidates", lambda: tuple(int(c) for c in args.candidates.split(",")))}
+        result = index.calibrate_power(sums, reference, **candidates)
         params = replace(params, power=result.power)
         if args.fit_out:
             reports.atomic_write_text(args.fit_out, index.render_calibration_csv(result))
@@ -339,8 +347,9 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
 
 
 # What `run` owns in its output directory, as globs under it. A run deletes
-# each owned file that it does not write, so nothing of an earlier run is
-# mixed with its own, and it leaves every other file alone.
+# each owned file that it does not write, and a subdirectory that this
+# leaves empty, so nothing of an earlier run is mixed with its own, and it
+# leaves every other file alone.
 _RUN_OWNED = ("scenarios/*.json", "tables/*.csv", "drop_log.csv", "imputation_log.csv",
               "index.csv")
 
@@ -351,6 +360,8 @@ def _write_run_files(out: Path, files: dict[str, str]) -> None:
         for path in sorted(out.glob(pattern)):
             if path.relative_to(out).as_posix() not in files:
                 path.unlink()
+                if path.parent != out and not any(path.parent.iterdir()):
+                    path.parent.rmdir()
     for name, text in files.items():
         reports.atomic_write_text(out / name, text)
 
@@ -454,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = sub.add_parser("index", help="compute the market-cap index CSV")
     p_index.add_argument("--mcaps", required=True, help="long-format CSV date,asset,market_cap_usd")
-    p_index.add_argument("--power", type=int, default=7)
+    p_index.add_argument("--power", type=int, help="index power (default 7)")
     p_index.add_argument("--top-n", type=int, default=100)
     p_index.add_argument("--out", required=True)
     p_index.add_argument("--calibrate", action="store_true",
                          help="choose the power against a reference price series")
     p_index.add_argument("--reference", help="date,<price> CSV used by --calibrate")
-    p_index.add_argument("--candidates", default="5,6,7,8,9")
+    p_index.add_argument("--candidates", help="powers --calibrate tries (default 5,6,7,8,9)")
     p_index.add_argument("--fit-out", help="write the calibration fit table here")
     p_index.set_defaults(func=cmd_index)
 

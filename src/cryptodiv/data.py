@@ -2,11 +2,10 @@
 
 A raw corpus is a dict of named metric series, each on its own calendar and
 tagged with a source category. Cleaning is a fixed pipeline: dedupe ->
-forward-fill traditional market indices onto the daily grid -> align every
-series on one daily calendar -> drop degenerate columns -> linear
-interpolation of interior gaps. The cleaned corpus is a Dataset on that
-calendar; scenario datasets are row slices of it with a shifted future-index
-target.
+align every series on one daily calendar -> forward-fill traditional market
+indices -> drop degenerate columns -> linear interpolation of interior
+gaps. The cleaned corpus is a Dataset on that calendar; scenario datasets
+are row slices of it with a shifted future-index target.
 """
 
 from __future__ import annotations
@@ -264,11 +263,6 @@ def _ordinals(dates: Sequence[date]) -> np.ndarray:
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
-def _day_range(first: date, n: int) -> tuple[date, ...]:
-    """The n consecutive dates starting at `first`."""
-    return tuple((np.datetime64(first, "D") + np.arange(n)).tolist())
-
-
 def dedupe(series: MetricSeries) -> MetricSeries:
     """Drop repeated dates, keeping the first occurrence of each."""
     _, first = np.unique(_ordinals(series.dates), return_index=True)
@@ -280,57 +274,35 @@ def dedupe(series: MetricSeries) -> MetricSeries:
                    values=series.values[keep])
 
 
-def _ascending_ordinals(series: MetricSeries) -> np.ndarray:
-    """`_ordinals` of the series' dates, which must be strictly ascending."""
-    ordinals = _ordinals(series.dates)
-    bad = np.flatnonzero(ordinals[1:] <= ordinals[:-1])
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ValueError(f"{series.name}: dates must be strictly ascending, "
-                         f"got {series.dates[i]} after {series.dates[i - 1]}")
-    return ordinals
+# ---------------------------------------------------------------------------
+# column fills on the daily calendar
+# ---------------------------------------------------------------------------
 
+def forward_fill(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fill the interior gaps of one column with the last observed value.
 
-def _to_daily_grid(series: MetricSeries) -> MetricSeries:
-    """Expand onto the consecutive daily calendar spanning the series' dates."""
-    if not series.dates:
-        return series
-    offsets = _ascending_ordinals(series)
-    offsets -= offsets[0]
-    n = int(offsets[-1]) + 1
-    if n == len(series.dates):
-        return series
-    values = np.full(n, np.nan)
-    values[offsets] = series.values
-    return replace(series, dates=_day_range(series.dates[0], n), values=values)
-
-
-def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
-    """Fill interior gaps with the last observed value on the daily grid.
-
-    Returns the filled series and the number of imputed days. Used for
-    traditional market indices, which do not trade on weekends. Leading gaps
-    are left missing. The dates must be strictly ascending (ValueError).
+    Returns the filled column and the number of imputed days. Used for
+    traditional market indices, which do not trade on weekends. Leading and
+    trailing gaps are left missing. Returns `values` itself when there is
+    nothing to fill.
     """
-    daily = _to_daily_grid(series)
-    values = daily.values
-    valid = np.flatnonzero(~np.isnan(values))
-    if valid.size == 0:
-        return daily, 0
     gaps = np.isnan(values)
+    valid = np.flatnonzero(~gaps)
+    if valid.size == 0:
+        return values, 0
     gaps[:valid[0]] = False
     gaps[valid[-1]:] = False
     filled = int(gaps.sum())
     if filled == 0:
-        return daily, 0
+        return values, 0
     # inside the observed span every non-gap is observed, so the running max
     # of non-gap positions is the last observed day at or before each gap
     source = np.maximum.accumulate(np.where(gaps, 0, np.arange(len(values))))
-    return replace(daily, values=values[source]), filled
+    return values[source], filled
 
 
 def interpolate_fill(values: np.ndarray) -> np.ndarray:
-    """Linearly interpolate the interior gaps of one column on the daily calendar.
+    """Linearly interpolate the interior gaps of one column.
 
     Leading and trailing gaps are never filled; slice_period handles them.
     Returns `values` itself when there is nothing to fill.
@@ -369,11 +341,16 @@ def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...]
     columns = {}
     for name in sorted(corpus):
         series = corpus[name]
-        offsets = _ascending_ordinals(series) - start.toordinal()
+        offsets = _ordinals(series.dates) - start.toordinal()
+        bad = np.flatnonzero(offsets[1:] <= offsets[:-1])
+        if bad.size:
+            i = int(bad[0]) + 1
+            raise ValueError(f"{series.name}: dates must be strictly ascending, "
+                             f"got {series.dates[i]} after {series.dates[i - 1]}")
         col = np.full(n, np.nan)
         col[offsets] = series.values
         columns[name] = col
-    return _day_range(start, n), columns
+    return tuple((np.datetime64(start, "D") + np.arange(n)).tolist()), columns
 
 
 def longest_flat_run(values: np.ndarray) -> int:
@@ -433,17 +410,14 @@ def clean_corpus(
     a Dataset on the common daily calendar whose read-only columns are NaN
     only before their first or after their last observation.
     """
+    prepared = {name: dedupe(corpus[name]) for name in sorted(corpus)}
+    grid, columns = align_calendar(prepared)
     imputed: dict[str, int] = {}
-    prepared: dict[str, MetricSeries] = {}
-    for name in sorted(corpus):
-        series = dedupe(corpus[name])
+    for name, series in prepared.items():
         if series.category is Category.TRADITIONAL_INDEX:
-            series, n_filled = forward_fill(series)
+            columns[name], n_filled = forward_fill(columns[name])
             if n_filled:
                 imputed[name] = n_filled
-        prepared[name] = series
-
-    grid, columns = align_calendar(prepared)
     kept, drop_log = drop_degenerate(columns, flat_run_max, missing_ratio_max)
 
     features = {name: interpolate_fill(col) for name, col in kept.items()}

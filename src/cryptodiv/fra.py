@@ -53,6 +53,10 @@ class FraConfig:
         if not 1 <= self.top_k_union <= self.target_count:
             raise ValueError(
                 f"top_k_union must be in [1, target_count], got {self.top_k_union}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.pfi_repeats < 1:
+            raise ValueError(f"pfi_repeats must be >= 1, got {self.pfi_repeats}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -192,9 +196,6 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
 @dataclass
 class FinalVector:
     features: list[str]     # FRA top-k order first, then Shapley-only entries
-    k: int
-    fra_top: list[str]
-    shap_top: list[str]
     shap_overlap: int       # |top-100 Shapley  intersect  FRA survivors|
 
 
@@ -203,16 +204,12 @@ def final_vector(fra_result: ReducedFeatureSet, shap_report: ImportanceReport,
     """Union of the top-k FRA and top-k Shapley features."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    fra_ranking = fra_result.survivors
+    fra_top = fra_result.survivors[:k]
     shap_ranking = shap_report.ranking
-    fra_top = fra_ranking[:min(k, len(fra_ranking))]
-    shap_top = shap_ranking[:min(k, len(shap_ranking))]
     seen = set(fra_top)
-    features = list(fra_top) + [f for f in shap_top if f not in seen]
-    top100 = set(shap_ranking[:min(100, len(shap_ranking))])
-    overlap = len(top100 & set(fra_ranking))
-    return FinalVector(features=features, k=k, fra_top=fra_top, shap_top=shap_top,
-                       shap_overlap=overlap)
+    features = fra_top + [f for f in shap_ranking[:k] if f not in seen]
+    overlap = len(set(shap_ranking[:100]) & set(fra_result.survivors))
+    return FinalVector(features=features, shap_overlap=overlap)
 
 
 def audit_json(result: ReducedFeatureSet) -> str:

@@ -130,9 +130,7 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
     if X.ndim != 2 or X.shape[1] != model.n_features or len(y) != len(X):
         raise ValueError(f"X/y shapes {X.shape}/{y.shape} do not match model with "
                          f"{model.n_features} features")
-    names = list(feature_names) if feature_names is not None else list(_names(model, X.shape[1]))
-    if len(names) != X.shape[1]:
-        raise ValueError("feature_names length does not match X columns")
+    names = _names(model, X.shape[1], feature_names)
     n = len(y)
     # Permuting column j only moves a (row, tree) pair whose baseline path
     # splits on j, so only those pairs are re-routed and every other pair
@@ -315,14 +313,7 @@ def _check_shapley_inputs(model, X_background, X_explain, feature_names):
         raise ValueError("background set is empty")
     if X_bg.shape[1] != X_ex.shape[1]:
         raise ValueError(f"background has {X_bg.shape[1]} columns, explained rows {X_ex.shape[1]}")
-    p = X_bg.shape[1]
-    if feature_names is not None:
-        names = list(feature_names)
-        if len(names) != p:
-            raise ValueError("feature_names length does not match columns")
-    else:
-        names = list(getattr(model, "feature_names", None) or (f"f{j}" for j in range(p)))
-    return X_bg, X_ex, names
+    return X_bg, X_ex, _names(model, X_bg.shape[1], feature_names)
 
 
 def _global_report(names: Sequence[str], attributions: np.ndarray, metadata: dict) -> ImportanceReport:
@@ -330,7 +321,11 @@ def _global_report(names: Sequence[str], attributions: np.ndarray, metadata: dic
     return ImportanceReport("shapley", scores, metadata)
 
 
-def _names(model: TreeEnsemble, p: int) -> tuple[str, ...]:
-    if model.feature_names is not None:
-        return model.feature_names
-    return tuple(f"f{j}" for j in range(p))
+def _names(model, p: int, given: Sequence[str] | None = None) -> list[str]:
+    """The p feature names: `given`, else the model's, else f0 ... f{p-1}."""
+    if given is None:
+        given = getattr(model, "feature_names", None) or [f"f{j}" for j in range(p)]
+    names = list(given)
+    if len(names) != p:
+        raise ValueError(f"feature_names has {len(names)} names for {p} columns")
+    return names

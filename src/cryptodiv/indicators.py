@@ -1,43 +1,20 @@
 """Technical indicators derived from market series: SMA, EMA, RSI, Bollinger.
 
-All functions take and return 1-D float arrays aligned to the input; the
-warm-up positions that have no full window yet are NaN. Generated columns
-are named `{KIND}{window}_{source}` (e.g. EMA100_market-cap).
+The four indicator functions take and return 1-D float arrays aligned to the
+input; the warm-up positions that have no full window yet are NaN.
+`augment_corpus` adds the pipeline's battery to a cleaned corpus: an SMA and
+an EMA of each configured source (`indicator_sources`) over each configured
+window (`indicator_windows`), named `{KIND}{window}_{source}` (e.g.
+EMA100_market-cap). RSI and Bollinger bands are not part of the battery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import Category, Dataset
-
-
-class IndicatorKind(Enum):
-    SMA = "SMA"
-    EMA = "EMA"
-    RSI = "RSI"
-    BOLLINGER = "BOLLINGER"
-
-
-@dataclass(frozen=True)
-class IndicatorSpec:
-    kind: IndicatorKind
-    window: int
-    source: str
-    band_width: float = 2.0  # Bollinger only
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.kind is IndicatorKind.BOLLINGER and self.band_width <= 0:
-            raise ValueError(f"band width must be > 0, got {self.band_width}")
-
-
-DEFAULT_WINDOWS = (5, 10, 14, 20, 30, 100, 200)
 
 
 def sma(series: np.ndarray, window: int) -> np.ndarray:
@@ -120,55 +97,31 @@ def bollinger(series: np.ndarray, window: int = 20, band_width: float = 2.0
     return mid, upper, lower
 
 
-def apply_spec(spec: IndicatorSpec, series: np.ndarray) -> dict[str, np.ndarray]:
-    """Evaluate one indicator spec; Bollinger yields mid/upper/lower columns."""
-    base = f"{spec.kind.value}{spec.window}"
-    if spec.kind is IndicatorKind.SMA:
-        return {f"{base}_{spec.source}": sma(series, spec.window)}
-    if spec.kind is IndicatorKind.EMA:
-        return {f"{base}_{spec.source}": ema(series, spec.window)}
-    if spec.kind is IndicatorKind.RSI:
-        return {f"{base}_{spec.source}": rsi(series, spec.window)}
-    mid, upper, lower = bollinger(series, spec.window, spec.band_width)
-    return {
-        f"{base}_mid_{spec.source}": mid,
-        f"{base}_upper_{spec.source}": upper,
-        f"{base}_lower_{spec.source}": lower,
-    }
+def augment_corpus(corpus: Dataset, sources: Sequence[str], windows: Sequence[int]) -> Dataset:
+    """Add the battery: SMA{w}_{src} and EMA{w}_{src} for each source, then each window.
 
-
-def default_battery(sources: Iterable[str], windows: Sequence[int] = DEFAULT_WINDOWS) -> list[IndicatorSpec]:
-    """SMA and EMA over the standard window set for each source metric."""
-    specs = []
-    for source in sources:
-        for window in windows:
-            specs.append(IndicatorSpec(IndicatorKind.SMA, window, source))
-            specs.append(IndicatorSpec(IndicatorKind.EMA, window, source))
-    return specs
-
-
-def augment_corpus(corpus: Dataset, specs: Sequence[IndicatorSpec]) -> Dataset:
-    """Add read-only indicator columns (Technical category) derived from corpus metrics.
-
-    Indicators are computed over each source's full history so warm-up
-    draws on data before any period start. Specs whose source metric is not
-    in the corpus are skipped; name collisions are an error.
+    The columns are read-only and in the Technical category. Indicators are
+    computed over each source's full history so warm-up draws on data before
+    any period start. Sources not in the corpus are skipped; name collisions
+    are an error.
     """
     features, categories = dict(corpus.features), dict(corpus.categories)
-    for spec in specs:
-        source = corpus.features.get(spec.source)
-        if source is None:
+    for source in sources:
+        column = corpus.features.get(source)
+        if column is None:
             continue
-        valid = np.flatnonzero(~np.isnan(source))
+        valid = np.flatnonzero(~np.isnan(column))
         if valid.size == 0:
             continue
         lo, hi = int(valid[0]), int(valid[-1]) + 1
-        for name, span_values in apply_spec(spec, source[lo:hi]).items():
-            if name in features:
-                raise ValueError(f"indicator column {name!r} collides with an existing metric")
-            values = np.full(len(source), np.nan)
-            values[lo:hi] = span_values
-            values.flags.writeable = False
-            features[name] = values
-            categories[name] = Category.TECHNICAL
+        for window in windows:
+            for kind, indicator in (("SMA", sma), ("EMA", ema)):
+                name = f"{kind}{window}_{source}"
+                if name in features:
+                    raise ValueError(f"indicator column {name!r} collides with an existing metric")
+                values = np.full(len(column), np.nan)
+                values[lo:hi] = indicator(column[lo:hi], window)
+                values.flags.writeable = False
+                features[name] = values
+                categories[name] = Category.TECHNICAL
     return Dataset(corpus.dates, features, categories)

@@ -54,6 +54,12 @@ class EnsembleParams:
             raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         if self.kind is ModelKind.GRADIENT_BOOST and not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        share = self.features_per_split
+        if isinstance(share, (int, np.integer)):
+            if share < 1:
+                raise ValueError(f"features_per_split count must be >= 1, got {share}")
+        elif share is not None and not 0.0 < share <= 1.0:
+            raise ValueError(f"features_per_split fraction must be in (0, 1], got {share}")
 
 
 @dataclass(eq=False)
@@ -256,13 +262,8 @@ def _resolve_features_per_split(setting: float | int | None, n_features: int) ->
     if setting is None:
         return n_features
     if isinstance(setting, (int, np.integer)):
-        if setting < 1:
-            raise ValueError(f"features_per_split count must be >= 1, got {setting}")
         return min(int(setting), n_features)
-    frac = float(setting)
-    if not 0.0 < frac <= 1.0:
-        raise ValueError(f"features_per_split fraction must be in (0, 1], got {frac}")
-    return max(1, min(n_features, int(frac * n_features)))
+    return max(1, min(n_features, int(setting * n_features)))
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

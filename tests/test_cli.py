@@ -76,28 +76,28 @@ def test_index_command_matches_op_oracle(tmp_path, capsys):
 def test_index_command_calibrates_planted_power(tmp_path, capsys):
     mcaps = tmp_path / "mcaps.csv"
     write_mcaps(mcaps, days=40)
-    # reference generated at power 7 from the daily cap sums
+    # reference generated at power 8 from the daily cap sums; the default power is 7
     start = date(2020, 1, 1)
     ref_lines = ["date,btc_price"]
     for i in range(40):
         total = sum((1 + j) * 1e9 + i * 1e7 for j in range(3))
         ref_lines.append(f"{(start + timedelta(days=i)).isoformat()},"
-                         f"{total / math.log10(total) ** 7}")
+                         f"{total / math.log10(total) ** 8}")
     reference = tmp_path / "btc.csv"
     reference.write_text("\n".join(ref_lines) + "\n")
 
     out = tmp_path / "index.csv"
     fitms = tmp_path / "fit.csv"
-    code = main(["index", "--mcaps", str(mcaps), "--power", "5", "--out", str(out),
+    code = main(["index", "--mcaps", str(mcaps), "--out", str(out),
                  "--calibrate", "--reference", str(reference), "--fit-out", str(fitms)])
     assert code == 0
-    assert "calibrated power: 7" in capsys.readouterr().out
+    assert "calibrated power: 8" in capsys.readouterr().out
     fit_rows = fitms.read_text().strip().splitlines()
     assert fit_rows[0] == "power,objective,chosen"
     chosen = [r for r in fit_rows[1:] if r.endswith(",1")]
-    assert len(chosen) == 1 and chosen[0].startswith("7,")
+    assert len(chosen) == 1 and chosen[0].startswith("8,")
     # index output re-uses the calibrated power
-    assert out.read_text().splitlines()[1].endswith(",7")
+    assert out.read_text().splitlines()[1].endswith(",8")
 
 
 def test_index_command_missing_file(tmp_path, capsys):
@@ -143,6 +143,24 @@ def test_index_bad_flag_value_names_the_flag(tmp_path, capsys, flags, named):
                  "--reference", str(reference), *flags]) == 1
     assert capsys.readouterr().err.startswith(f"error: bad value for {named}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--reference", "missing.csv"], "--reference given without --calibrate"),
+    (["--fit-out", "fit.csv"], "--fit-out given without --calibrate"),
+    (["--candidates", "5,6"], "--candidates given without --calibrate"),
+    (["--reference", "missing.csv", "--candidates", "5,6", "--fit-out", "fit.csv"],
+     "--reference, --candidates, --fit-out given without --calibrate"),
+    (["--calibrate", "--reference", "btc.csv", "--power", "5"],
+     "--power given with --calibrate, which chooses the power"),
+], ids=["reference", "fit-out", "candidates", "all-three", "calibrate-power"])
+def test_index_flag_that_cannot_apply_is_rejected(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)
+    write_mcaps(tmp_path / "mcaps.csv", days=40)
+    (tmp_path / "btc.csv").write_text("date,btc_price\n2020-01-01,1000.0\n")
+    assert main(["index", "--mcaps", "mcaps.csv", "--out", "index.csv", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["btc.csv", "mcaps.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +278,25 @@ def test_failed_run_removes_an_earlier_runs_cells_and_tables(tmp_path, monkeypat
     assert main(["report", "--results", str(shared)]) == 0
     assert main(["report", "--results", str(reference)]) == 0
     assert tree_bytes(shared) == tree_bytes(reference)
+
+
+@pytest.mark.parametrize("failing, left", [({"2018_7"}, ["scenarios"]),
+                                           ({"2018_1", "2018_7", "2019_1", "2019_7"}, [])],
+                         ids=["one-cell", "every-cell"])
+def test_failed_run_leaves_no_empty_owned_directory(tmp_path, monkeypatch, failing, left):
+    config, out_dir, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == ["scenarios", "tables"]
+    original = experiments.run_scenario
+
+    def failing_cells(corpus, scenario, config):
+        if scenario.label in failing:
+            raise StageError(scenario.label, "fra", ValueError("planted failure"))
+        return original(corpus, scenario, config)
+
+    monkeypatch.setattr(experiments, "run_scenario", failing_cells)
+    assert main(["run", "--config", str(config), "--seed", "5"]) == 1
+    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == left
 
 
 def test_run_removes_an_earlier_runs_index_and_imputation_log(tmp_path):
@@ -582,8 +619,12 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     ("run", "--out", "", "bad value for --out: expected a path, got ''"),
     ("fra", "--top-k", "99", "bad value for --top-k: top_k_union must be in [1, target_count]"),
     ("importance", "--out", "", "bad value for --out: expected a path, got ''"),
+    ("run", "--power", "3", "--power given, but the config has no 'index' section"),
+    ("fra", "--power", "3", "--power given, but the config has no 'index' section"),
+    ("importance", "--power", "3", "--power given, but the config has no 'index' section"),
 ], ids=["windows-empty", "periods-empty", "periods-month", "target-features", "holdout",
-        "power", "out-empty", "fra-top-k", "importance-out-empty"])
+        "power", "out-empty", "fra-top-k", "importance-out-empty", "run-power-without-index",
+        "fra-power-without-index", "importance-power-without-index"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
@@ -637,12 +678,20 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("windows",), [1, 0], "'windows' at config root"),
     (("windows",), 7, "'windows' at config root"),
     (("windows",), [], "'windows' at config root"),
+    (("fra", "rf", "kind"), 5, "'kind'] at fra.rf"),
+    (("fra", "gbt", "kind"), "rf", "'kind'] at fra.gbt"),
+    (("fra", "pfi_repeats"), 0, "pfi_repeats must be >= 1, got 0"),
+    (("fra", "cv_folds"), 1, "cv_folds must be >= 2, got 1"),
+    (("fra", "rf", "features_per_split"), 1.5,
+     "at fra.rf: features_per_split fraction must be in"),
+    (("fra", "gbt", "features_per_split"), 0, "at fra.gbt: features_per_split count must be >= 1"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
         "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item",
         "cell-windows-float-item", "cell-windows-string-item", "cell-windows-bool-item",
-        "cell-windows-zero", "cell-windows-number", "cell-windows-empty"])
+        "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "rf-kind", "gbt-kind",
+        "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)

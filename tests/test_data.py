@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from cryptodiv.data import (Category, Dataset, ManifestError, MetricSeries, Scenario,
                             align_calendar, chronological_split, clean_corpus, dedupe,
-                            drop_degenerate, forward_fill, interpolate_fill, load_corpus,
+                            drop_degenerate, interpolate_fill, load_corpus,
                             make_target, slice_period)
-from cryptodiv.indicators import IndicatorKind, IndicatorSpec, augment_corpus
+from cryptodiv.indicators import augment_corpus
 
+import cleaning_oracles as oracle
 from conftest import series_from
 
 
@@ -189,9 +190,8 @@ def test_interpolate_idempotent():
 @pytest.mark.parametrize("offsets", [(1, 0, 4), (4, 2, 0), (0, 0, 2)],
                          ids=["earlier-inside-span", "descending", "repeated"])
 @pytest.mark.parametrize("kernel", [
-    forward_fill,
     lambda s: align_calendar({"a": MetricSeries("a", s.category, (), np.array([])), s.name: s})],
-    ids=["forward_fill", "align_calendar"])
+    ids=["align_calendar"])
 def test_fill_kernels_reject_unsorted_dates(day, offsets, kernel):
     series = MetricSeries("x", Category.TRADITIONAL_INDEX, tuple(day(o) for o in offsets),
                           np.array([2.0, 1.0, 5.0]))
@@ -313,8 +313,8 @@ def test_slice_period_keeps_exactly_the_columns_complete_from_the_start(day):
     corpus = Dataset(tuple(day(i) for i in range(n)),
                      {"full": full, "late": late, "trailing": trailing},
                      {name: Category.MACRO for name in ("full", "late", "trailing")})
-    # SMA10 is in its warm-up, NaN, on days 0..8
-    corpus = augment_corpus(corpus, [IndicatorSpec(IndicatorKind.SMA, 10, "full")])
+    # SMA10 and EMA10 are in their warm-up, NaN, on days 0..8
+    corpus = augment_corpus(corpus, ["full"], [10])
     for start in range(n):
         ds = slice_period(corpus, Scenario(day(start), 1))
         complete = {name for name, col in corpus.features.items()
@@ -325,16 +325,17 @@ def test_slice_period_keeps_exactly_the_columns_complete_from_the_start(day):
             assert np.array_equal(ds.features[name], corpus.features[name][start:])
     kept = {start: set(slice_period(corpus, Scenario(day(start), 1)).feature_names)
             for start in (8, 9, 19, 20)}
-    assert kept == {8: {"full"}, 9: {"full", "SMA10_full"}, 19: {"full", "SMA10_full"},
-                    20: {"full", "SMA10_full", "late"}}
+    indicators = {"SMA10_full", "EMA10_full"}
+    assert kept == {8: {"full"}, 9: {"full", *indicators}, 19: {"full", *indicators},
+                    20: {"full", *indicators, "late"}}
 
 
 def test_prepared_corpus_columns_are_read_only(make_series):
     raw = {"gappy": make_series("gappy", [1.0, None, 3.0, 4.0, 2.0]),
            "whole": make_series("whole", [5.0, 1.0, 2.0, 4.0, 3.0])}
     cleaned, _, _ = clean_corpus(raw, missing_ratio_max=1.0)
-    corpus = augment_corpus(cleaned, [IndicatorSpec(IndicatorKind.SMA, 2, "whole")])
-    assert corpus.feature_names == ("SMA2_whole", "gappy", "whole")
+    corpus = augment_corpus(cleaned, ["whole"], [2])
+    assert corpus.feature_names == ("EMA2_whole", "SMA2_whole", "gappy", "whole")
     for col in corpus.features.values():
         with pytest.raises(ValueError, match="read-only"):
             col[-1] = 0.0
@@ -455,3 +456,25 @@ def test_clean_corpus_forward_fills_trad_index(day):
     saturday = next(d for d in cleaned.dates if d.weekday() == 5)
     friday = saturday - timedelta(days=1)
     assert by_date[saturday] == by_date[friday]
+
+
+def test_clean_corpus_forward_fills_trad_index_only_inside_its_span(day):
+    # a weekday-only index whose first and last dates hold no value, inside
+    # a longer daily macro series: the corpus calendar pads the index with
+    # NaN on both sides, and the fill must not reach into that padding
+    points = [(day(i), float(100 + i % 9)) for i in range(10, 50) if day(i).weekday() < 5]
+    points = [(day(8), None)] + points + [(day(52), None)]
+    index = MetricSeries.from_points("QQQ_Close", Category.TRADITIONAL_INDEX, points)
+    macro = MetricSeries.from_points("m", Category.MACRO,
+                                     [(day(i), float(i % 7)) for i in range(60)])
+    cleaned, drop_log, imputed = clean_corpus({"QQQ_Close": index, "m": macro})
+    assert drop_log == [] and cleaned.dates == tuple(day(i) for i in range(60))
+    col = cleaned.features["QQQ_Close"]
+    observed = np.flatnonzero(~np.isnan(col))
+    assert (observed[0], observed[-1]) == (10, 49)   # both weekdays
+    assert np.isnan(col[:10]).all() and np.isnan(col[50:]).all()
+    # every weekend day strictly inside days 10..49 is filled, and nothing else
+    weekend_days = sum(day(i).weekday() >= 5 for i in range(10, 50))
+    want, want_filled = oracle.forward_fill(index)
+    assert imputed == {"QQQ_Close": weekend_days} and want_filled == weekend_days
+    assert col[8:53].view(np.int64).tolist() == want.values.view(np.int64).tolist()

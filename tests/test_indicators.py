@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cryptodiv.indicators import (IndicatorKind, IndicatorSpec, apply_spec, bollinger,
-                                  default_battery, ema, rsi, sma)
+from cryptodiv.data import Category, Dataset
+from cryptodiv.indicators import augment_corpus, bollinger, ema, rsi, sma
 
 from conftest import assert_close
 
@@ -204,28 +204,33 @@ def test_ema_converges_geometrically():
 
 
 # ---------------------------------------------------------------------------
-# specs and naming
+# the battery and window checks
 # ---------------------------------------------------------------------------
 
-def test_apply_spec_names():
-    x = np.arange(30.0)
-    cols = apply_spec(IndicatorSpec(IndicatorKind.EMA, 10, "market-cap"), x)
-    assert list(cols) == ["EMA10_market-cap"]
-    cols = apply_spec(IndicatorSpec(IndicatorKind.BOLLINGER, 5, "close-price"), x)
-    assert sorted(cols) == ["BOLLINGER5_lower_close-price", "BOLLINGER5_mid_close-price",
-                            "BOLLINGER5_upper_close-price"]
+def test_augment_corpus_battery(day):
+    n = 40
+    close = np.arange(n, dtype=float) % 7 + 1.0
+    close[:3] = np.nan   # history begins on day 3
+    volume = np.linspace(1.0, 2.0, n)
+    corpus = Dataset(tuple(day(i) for i in range(n)), {"close-price": close, "volume": volume},
+                     {"close-price": Category.MARKET, "volume": Category.MARKET})
+    out = augment_corpus(corpus, ["close-price", "market-cap", "volume"], [5, 20])
+    added = set(out.feature_names) - set(corpus.feature_names)
+    # market-cap is not in the corpus, so it adds nothing
+    assert added == {f"{kind}{w}_{src}" for kind in ("SMA", "EMA") for w in (5, 20)
+                     for src in ("close-price", "volume")}
+    assert len(added) == 2 * 2 * 2   # two kinds, two windows, two present sources
+    assert {out.categories[name] for name in added} == {Category.TECHNICAL}
+    for name, indicator, window in (("SMA5_close-price", sma, 5), ("EMA20_close-price", ema, 20)):
+        col = out.features[name]
+        assert np.isnan(col[:3]).all()
+        assert np.array_equal(col[3:], indicator(close[3:], window), equal_nan=True)
+    with pytest.raises(ValueError, match="'SMA5_volume' collides"):
+        augment_corpus(out, ["volume"], [5])
 
 
-def test_default_battery_contents():
-    specs = default_battery(["close-price", "volume"])
-    names = {(s.kind, s.window, s.source) for s in specs}
-    assert (IndicatorKind.SMA, 100, "close-price") in names
-    assert (IndicatorKind.EMA, 200, "volume") in names
-    assert len(specs) == 2 * 7 * 2  # two kinds, seven windows, two sources
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        IndicatorSpec(IndicatorKind.SMA, 0, "x")
-    with pytest.raises(ValueError):
-        IndicatorSpec(IndicatorKind.BOLLINGER, 5, "x", band_width=0.0)
+@pytest.mark.parametrize("indicator, window", [(sma, 0), (ema, 0), (rsi, 0), (bollinger, 1)],
+                         ids=["sma", "ema", "rsi", "bollinger"])
+def test_indicator_window_validation(indicator, window):
+    with pytest.raises(ValueError, match=f"window must be >= {window + 1}, got {window}"):
+        indicator(np.arange(10.0), window)
