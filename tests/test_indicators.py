@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cryptodiv.data import Category, Dataset
+from cryptodiv.experiments import PipelineConfig
 from cryptodiv.indicators import augment_corpus, bollinger, ema, rsi, sma
 
 from conftest import assert_close
@@ -207,19 +208,21 @@ def test_ema_converges_geometrically():
 # the battery and window checks
 # ---------------------------------------------------------------------------
 
-def test_augment_corpus_battery(day):
+def _corpus(day, n, close):
+    volume = np.linspace(1.0, 2.0, n)
+    return Dataset(tuple(day(i) for i in range(n)), {"close-price": close, "volume": volume},
+                   {"close-price": Category.MARKET, "volume": Category.MARKET})
+
+
+def test_apply_spec_names(day):
     n = 40
     close = np.arange(n, dtype=float) % 7 + 1.0
     close[:3] = np.nan   # history begins on day 3
-    volume = np.linspace(1.0, 2.0, n)
-    corpus = Dataset(tuple(day(i) for i in range(n)), {"close-price": close, "volume": volume},
-                     {"close-price": Category.MARKET, "volume": Category.MARKET})
-    out = augment_corpus(corpus, ["close-price", "market-cap", "volume"], [5, 20])
+    corpus = _corpus(day, n, close)
+    out = augment_corpus(corpus, ["close-price", "volume"], [5, 20])
     added = set(out.feature_names) - set(corpus.feature_names)
-    # market-cap is not in the corpus, so it adds nothing
     assert added == {f"{kind}{w}_{src}" for kind in ("SMA", "EMA") for w in (5, 20)
                      for src in ("close-price", "volume")}
-    assert len(added) == 2 * 2 * 2   # two kinds, two windows, two present sources
     assert {out.categories[name] for name in added} == {Category.TECHNICAL}
     for name, indicator, window in (("SMA5_close-price", sma, 5), ("EMA20_close-price", ema, 20)):
         col = out.features[name]
@@ -227,6 +230,19 @@ def test_augment_corpus_battery(day):
         assert np.array_equal(col[3:], indicator(close[3:], window), equal_nan=True)
     with pytest.raises(ValueError, match="'SMA5_volume' collides"):
         augment_corpus(out, ["volume"], [5])
+
+
+def test_default_battery_contents(day):
+    n = 250
+    corpus = _corpus(day, n, np.arange(n, dtype=float) % 7 + 1.0)
+    pipeline = PipelineConfig()
+    out = augment_corpus(corpus, pipeline.indicator_sources, pipeline.indicator_windows)
+    added = set(out.feature_names) - set(corpus.feature_names)
+    assert "SMA100_close-price" in added
+    assert "EMA200_volume" in added
+    # market-cap is not in the corpus, so it adds nothing
+    assert not any(name.endswith("_market-cap") for name in added)
+    assert len(added) == 2 * 7 * 2   # two kinds, seven windows, two present sources
 
 
 @pytest.mark.parametrize("indicator, window", [(sma, 0), (ema, 0), (rsi, 0), (bollinger, 1)],
