@@ -441,7 +441,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     results = []
     for path in sorted(scenario_dir.glob("*.json")):
-        results.append(experiments.result_from_json(path.read_text()))
+        try:
+            results.append(experiments.result_from_json(path.read_text()))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # a KeyError's text is the bare key
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            print(f"error: {path}: not a stored scenario result: {detail}", file=sys.stderr)
+            return 1
     if not results:
         print(f"error: no stored scenario results in {scenario_dir}", file=sys.stderr)
         return 1

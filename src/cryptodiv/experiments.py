@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
 from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
-                  fra_reduce)
+                  fit_full_forest, fra_reduce)
 from .importance import ImportanceReport, mdi, pearson_report, pfi, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
@@ -183,20 +183,19 @@ ModelFactory = Callable[[np.ndarray, np.ndarray, Sequence[str]], TreeEnsemble]
 
 
 def improvement(model_factory: ModelFactory, train: Dataset, test: Dataset,
-                final_features: Sequence[str],
+                diverse: TreeEnsemble,
                 category_partitions: Mapping[Category, Sequence[str]]) -> ImprovementResult:
     """MSE percentage decrease of the diverse vector over each category arm.
 
     Every arm trains with the same factory (hence identical hyperparameters
     and seed) on `train` and is scored on `test`; only the feature subset
-    differs. improvement = (MSE_category - MSE_diverse) / MSE_diverse * 100.
+    differs. The caller trains the diverse arm, on the sorted final vector.
+    improvement = (MSE_category - MSE_diverse) / MSE_diverse * 100.
     """
-    def arm_mse(features: Sequence[str]) -> float:
-        feats = sorted(features)
-        model = model_factory(train.matrix(feats), train.target, feats)
-        return mse(test.target, model.predict(test.matrix(feats)))
+    def arm_mse(model: TreeEnsemble) -> float:
+        return mse(test.target, model.predict(test.matrix(list(model.feature_names))))
 
-    mse_diverse = arm_mse(final_features)
+    mse_diverse = arm_mse(diverse)
     if mse_diverse == 0.0:
         raise ValueError("diverse-arm MSE is exactly 0; target leaks into the features")
     mse_by_category: dict[Category, float] = {}
@@ -205,7 +204,8 @@ def improvement(model_factory: ModelFactory, train: Dataset, test: Dataset,
         features = category_partitions[cat]
         if not features:
             raise ValueError(f"category {cat.value} has an empty feature partition")
-        m = arm_mse(features)
+        feats = sorted(features)
+        m = arm_mse(model_factory(train.matrix(feats), train.target, feats))
         mse_by_category[cat] = m
         improvement_by_category[cat] = (m - mse_diverse) / mse_diverse * 100.0
     mean_improvement = float(np.mean(list(improvement_by_category.values())))
@@ -248,32 +248,32 @@ def cell_blocks(corpus: Dataset, scenario: Scenario,
     return chronological_split(dataset, config.holdout_fraction)
 
 
+def _fra_seed(scenario: Scenario, config: PipelineConfig) -> int:
+    return derive_seed(scenario_seed(config.seed, scenario), "fra")
+
+
 def cell_fra(train: Dataset, scenario: Scenario, config: PipelineConfig) -> ReducedFeatureSet:
     """The feature-reduction loop of one cell, on the cell's FRA seed."""
-    seed = derive_seed(scenario_seed(config.seed, scenario), "fra")
-    return fra_reduce(train, replace(config.fra, seed=seed))
+    return fra_reduce(train, replace(config.fra, seed=_fra_seed(scenario, config)))
 
 
 def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
                     method: str, jobs: int = 1) -> ImportanceReport:
-    """One importance report over a cell's train block, from a forest with the
-    `fra.rf` parameters or DEFAULT_RF_PARAMS (never grid-searched ones)."""
+    """One importance report over a cell's train block, from FRA's round-1 forest
+    with the `fra.rf` parameters or DEFAULT_RF_PARAMS (never grid-searched ones)."""
     if method not in IMPORTANCE_METHODS:
         raise ValueError(f"unknown importance method {method!r}")
-    seed = scenario_seed(config.seed, scenario)
-    rf_params = config.fra.rf_params or DEFAULT_RF_PARAMS
     if method == "pearson":
         return pearson_report(train.features, train.target)
-    if method == "shapley":
-        return _shapley_ranking(train, rf_params, config.shapley, seed, jobs=jobs)
-    features = list(train.feature_names)
-    X = train.matrix(features)
-    model = fit_forest(X, train.target, rf_params, derive_seed(seed, "importance", "rf"),
-                       feature_names=features, jobs=jobs)
+    model = fit_full_forest(train, config.fra.rf_params or DEFAULT_RF_PARAMS,
+                            _fra_seed(scenario, config), jobs=jobs)
+    seed = scenario_seed(config.seed, scenario)
     if method == "mdi":
         return mdi(model)
-    return pfi(model, X, train.target, repeats=config.fra.pfi_repeats,
-               seed=derive_seed(seed, "importance", "pfi"), feature_names=features, jobs=jobs)
+    if method == "shapley":
+        return _shapley_ranking(model, train, config.shapley, seed, jobs=jobs)
+    return pfi(model, train.matrix(), train.target, repeats=config.fra.pfi_repeats,
+               seed=derive_seed(seed, "importance", "pfi"), jobs=jobs)
 
 
 def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:
@@ -292,32 +292,32 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     train, test = stage("prepare", cell_blocks, corpus, scenario, config)
     fra_result: ReducedFeatureSet = stage("fra", cell_fra, train, scenario, config)
 
-    shap_report = stage("shapley", _shapley_ranking, train, fra_result.rf_params,
-                        config.shapley, seed)
+    rf_params = fra_result.rf_params
+    forest = fra_result.full_forest
+    if forest is None:
+        forest = stage("shapley", fit_full_forest, train, rf_params, _fra_seed(scenario, config))
+    shap_report = stage("shapley", _shapley_ranking, forest, train, config.shapley, seed)
     fv: FinalVector = stage("final_vector", final_vector, fra_result, shap_report,
                             config.fra.top_k_union)
 
-    rf_final = stage("importance", _fit_final_rf, train, fv.features,
-                     fra_result.rf_params, seed)
-    final_mdi = stage("importance", mdi, rf_final)
-    rf_importance = {f: final_mdi.scores[f] for f in sorted(fv.features)}
-
-    candidate_counts: dict[Category, int] = {}
-    for f, cat in train.categories.items():
-        candidate_counts[cat] = candidate_counts.get(cat, 0) + 1
-    factors = stage("contribution", contribution_factors, fv.features,
-                    train.categories, candidate_counts)
-
-    partitions = {cat: [f for f, c in train.categories.items() if c is cat]
-                  for cat in candidate_counts}
+    # the final forest is the diverse improvement arm, and rf_importance is its MDI
     improvement_seed = derive_seed(seed, "improvement")
-    rf_params = fra_result.rf_params
 
     def factory(X, y, feats):
         return fit_forest(X, y, rf_params, improvement_seed, feature_names=feats)
 
+    final = sorted(fv.features)
+    rf_final = stage("importance", factory, train.matrix(final), train.target, final)
+    rf_importance = stage("importance", mdi, rf_final).scores
+
+    partitions: dict[Category, list[str]] = {}
+    for f, cat in train.categories.items():
+        partitions.setdefault(cat, []).append(f)
+    candidate_counts = {cat: len(features) for cat, features in partitions.items()}
+    factors = stage("contribution", contribution_factors, fv.features,
+                    train.categories, candidate_counts)
     improvement_result = stage("improvement", improvement, factory, train, test,
-                               fv.features, partitions)
+                               rf_final, partitions)
 
     return ScenarioResult(
         scenario=scenario,
@@ -327,7 +327,7 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
         contribution_factors=factors,
         rf_importance=rf_importance,
         model_summary={
-            "rf": _params_summary(fra_result.rf_params),
+            "rf": _params_summary(rf_params),
             "gbt": _params_summary(fra_result.gbt_params),
             "final_rf_trees": rf_final.n_trees,
             "final_rf_max_depth": rf_final.nodes.max_depth(),
@@ -339,20 +339,16 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     )
 
 
-def _shapley_ranking(train: Dataset, rf_params: EnsembleParams,
-                     settings: ShapleySettings, seed: int, jobs: int = 1):
-    features = list(train.feature_names)
-    X = train.matrix(features)
-    model = fit_forest(X, train.target, rf_params, derive_seed(seed, "shap", "model"),
-                       feature_names=features, jobs=jobs)
+def _shapley_ranking(model: TreeEnsemble, train: Dataset, settings: ShapleySettings,
+                     seed: int, jobs: int = 1) -> ImportanceReport:
+    X = train.matrix(list(model.feature_names))
     bg_rows = _subsample_rows(len(X), settings.background_rows,
                               substream(seed, "shap", "background"))
     ex_rows = _subsample_rows(len(X), settings.explain_rows,
                               substream(seed, "shap", "explain"))
     result = shapley_sampled(model, X[bg_rows], X[ex_rows],
                              n_permutations=settings.n_permutations,
-                             seed=derive_seed(seed, "shap", "perms"),
-                             feature_names=features, jobs=jobs)
+                             seed=derive_seed(seed, "shap", "perms"), jobs=jobs)
     return result.report
 
 
@@ -360,13 +356,6 @@ def _subsample_rows(n: int, limit: int, rng: np.random.Generator) -> np.ndarray:
     if n <= limit:
         return np.arange(n)
     return np.sort(rng.choice(n, size=limit, replace=False))
-
-
-def _fit_final_rf(train: Dataset, features: Sequence[str], params: EnsembleParams,
-                  seed: int) -> TreeEnsemble:
-    feats = sorted(features)
-    return fit_forest(train.matrix(feats), train.target, params,
-                      derive_seed(seed, "final_rf"), feature_names=feats)
 
 
 def _params_summary(params: EnsembleParams) -> dict:

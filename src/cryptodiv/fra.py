@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .data import Dataset
 from .importance import ImportanceReport, mdi, pearson_abs, pfi
-from .models import (EnsembleParams, ModelKind, default_gbt_grid, default_rf_grid,
-                     fit_forest, fit_gbt, grid_search_cv)
+from .models import (EnsembleParams, ModelKind, TreeEnsemble, default_gbt_grid,
+                     default_rf_grid, fit_forest, fit_gbt, grid_search_cv)
 from .seeding import derive_seed
 
 METHODS = ("rf_mdi", "gbt_mdi", "rf_pfi", "gbt_pfi")
@@ -78,6 +78,7 @@ class ReducedFeatureSet:
     forced_stop: bool               # max_iterations hit before reaching target_count
     rf_params: EnsembleParams
     gbt_params: EnsembleParams
+    full_forest: TreeEnsemble | None = None   # round 1's forest on every feature, if it ran
 
     @property
     def removed(self) -> list[str]:
@@ -117,8 +118,8 @@ def _resolve_params(dataset: Dataset, features: list[str], config: FraConfig
 
 def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleParams,
                      gbt_params: EnsembleParams, pfi_repeats: int, seed: int,
-                     round_key: int = 0) -> dict[str, ImportanceReport]:
-    """Fit both models on the given features and produce the four rankings."""
+                     round_key: int = 0) -> tuple[dict[str, ImportanceReport], TreeEnsemble]:
+    """Fit both models on the given features; the four rankings and the forest."""
     X = dataset.matrix(features)
     y = dataset.target
     rf = fit_forest(X, y, rf_params, derive_seed(seed, "fra", "rf", round_key),
@@ -134,7 +135,14 @@ def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleP
         "gbt_pfi": pfi(gbt, X, y, repeats=pfi_repeats,
                        seed=derive_seed(seed, "fra", "gbt_pfi", round_key),
                        feature_names=features),
-    }
+    }, rf
+
+
+def fit_full_forest(dataset: Dataset, rf_params: EnsembleParams, seed: int,
+                    jobs: int = 1) -> TreeEnsemble:
+    """The forest of round 1, which sees every feature, fitted from round 1's seed."""
+    return fit_forest(dataset.matrix(), dataset.target, rf_params, derive_seed(seed, "fra", "rf", 1),
+                      feature_names=dataset.feature_names, jobs=jobs)
 
 
 def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
@@ -161,12 +169,15 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
     records: list[IterationRecord] = []
     threshold = config.corr_start
     last_reports: dict[str, ImportanceReport] | None = None
+    full_forest = None
 
     while len(current) > config.target_count and len(records) < config.max_iterations:
         iteration = len(records) + 1
-        reports = evaluate_methods(dataset, current, rf_params, gbt_params,
-                                   config.pfi_repeats, config.seed, round_key=iteration)
+        reports, rf = evaluate_methods(dataset, current, rf_params, gbt_params,
+                                       config.pfi_repeats, config.seed, round_key=iteration)
         last_reports = reports
+        if full_forest is None:
+            full_forest = rf
         in_all_bottoms = set.intersection(*(bottom_half(r) for r in reports.values()))
         removal = sorted(f for f in in_all_bottoms if correlation[f] < threshold)
         forced = False
@@ -190,7 +201,7 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
         survivors = list(current)
     return ReducedFeatureSet(survivors=survivors, original=original, iterations=records,
                              forced_stop=forced_stop, rf_params=rf_params,
-                             gbt_params=gbt_params)
+                             gbt_params=gbt_params, full_forest=full_forest)
 
 
 @dataclass

@@ -387,6 +387,19 @@ def test_report_missing_results_dir(tmp_path, capsys):
     assert "scenarios" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"scenario": {}}\n', "not json\n"],
+                         ids=["missing-key", "invalid-json"])
+def test_report_names_a_malformed_scenario_file(tmp_path, capsys, text):
+    scenario_dir = tmp_path / "results" / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    (scenario_dir / "2019_7.json").write_text(text)
+    assert main(["report", "--results", str(tmp_path / "results")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(scenario_dir / "2019_7.json") in err[0]
+    assert not (tmp_path / "results" / "tables").exists()
+
+
 # ---------------------------------------------------------------------------
 # fra / importance subcommands
 # ---------------------------------------------------------------------------
@@ -536,6 +549,49 @@ def test_importance_shapley_writes_the_shapley_report_of_run(tmp_path, monkeypat
     out = tmp_path / "shapley.csv"
     assert main(importance_args(config, "shapley", out, 1)) == 0
     assert out.read_text() == reports[0].to_csv()
+
+
+def test_importance_shapley_writes_the_shapley_report_of_a_run_without_fra_rounds(
+        tmp_path, monkeypatch):
+    config = tiny_importance_setup(tmp_path)
+    reports = []
+    original = experiments.shapley_sampled
+
+    def capturing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result.report)
+        return result
+
+    monkeypatch.setattr(experiments, "shapley_sampled", capturing)
+    # at least as many target features as candidates: FRA runs no round
+    no_round = ["--target-features", "1000"]
+    cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
+    assert main(["run", "--config", str(config), *cell, *no_round]) == 0
+    stored = json.loads((tmp_path / "out" / "scenarios" / "2019_7.json").read_text())
+    assert stored["fra"]["iterations"] == 0
+    assert len(reports) == 1
+    out = tmp_path / "shapley.csv"
+    assert main([*importance_args(config, "shapley", out, 1), *no_round]) == 0
+    assert out.read_text() == reports[0].to_csv()
+
+
+def test_importance_mdi_writes_the_round_one_rf_mdi_of_run(tmp_path, monkeypatch):
+    config = tiny_importance_setup(tmp_path)
+    rounds = []
+    original = fra.evaluate_methods
+
+    def capturing(*args, **kwargs):
+        reports, rf = original(*args, **kwargs)
+        rounds.append(reports)
+        return reports, rf
+
+    monkeypatch.setattr(fra, "evaluate_methods", capturing)
+    cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
+    assert main(["run", "--config", str(config), *cell]) == 0
+    assert len(rounds) >= 1
+    out = tmp_path / "mdi.csv"
+    assert main(importance_args(config, "mdi", out, 1)) == 0
+    assert out.read_text() == rounds[0]["rf_mdi"].to_csv()
 
 
 def test_rerun_keeps_files_it_does_not_own(tmp_path):

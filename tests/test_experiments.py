@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from cryptodiv.data import Category, Dataset, Scenario, chronological_split
 from cryptodiv.experiments import (HorizonGroup, PipelineConfig, ShapleySettings, StageError,
-                                   contribution_factors, group_horizons, improvement,
-                                   prepare_dataset, result_from_json, result_to_json,
-                                   run_scenario, top_k, unique_top_k)
+                                   _params_summary, contribution_factors, group_horizons,
+                                   improvement, prepare_dataset, result_from_json,
+                                   result_to_json, run_scenario, top_k, unique_top_k)
 from cryptodiv.fra import FraConfig
 from cryptodiv.models import EnsembleParams, ModelKind, fit_forest
 
@@ -156,7 +157,8 @@ def test_improvement_formula_spot_checks():
         return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
 
     train, test = chronological_split(ds, 0.2)
-    result = improvement(factory, train, test, ["a", "b"],
+    diverse = factory(train.matrix(["a", "b"]), train.target, ["a", "b"])
+    result = improvement(factory, train, test, diverse,
                          {Category.ONCHAIN_BTC: ["a"], Category.MACRO: ["b"]})
     for cat, m in result.mse_by_category.items():
         expected = (m - result.mse_diverse) / result.mse_diverse * 100.0
@@ -183,8 +185,9 @@ def test_improvement_degenerate_leak_rejected():
                           feature_names=feats)
 
     train, test = chronological_split(ds, 0.2)
+    diverse = factory(train.matrix(["a", "b"]), train.target, ["a", "b"])
     with pytest.raises(ValueError, match="exactly 0"):
-        improvement(factory, train, test, ["a", "b"],
+        improvement(factory, train, test, diverse,
                     {Category.MACRO: ["a"], Category.TECHNICAL: ["b"]})
 
 
@@ -195,8 +198,9 @@ def test_improvement_empty_partition_rejected():
         return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
 
     train, test = chronological_split(ds, 0.2)
+    diverse = factory(train.matrix(["a"]), train.target, ["a"])
     with pytest.raises(ValueError, match="empty"):
-        improvement(factory, train, test, ["a"], {Category.MACRO: []})
+        improvement(factory, train, test, diverse, {Category.MACRO: []})
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,50 @@ def test_run_scenario_planted_category_dominates_contribution():
     result = run_scenario(corpus, Scenario(date(2019, 1, 1), w), fast_config(seed=3, target_count=4))
     factors = result.contribution_factors
     assert factors[Category.ONCHAIN_BTC] > factors[Category.SENTIMENT_INTEREST]
+
+
+@pytest.mark.parametrize("target_count", [4, 10], ids=["fra-rounds", "no-fra-round"])
+def test_run_scenario_fits_each_forest_once(monkeypatch, target_count):
+    import cryptodiv.experiments as experiments_module
+    import cryptodiv.fra as fra_module
+    fits = []
+    for module in (experiments_module, fra_module):
+        def counting(*args, _fit=module.fit_forest, **kwargs):
+            fits.append(kwargs["feature_names"])
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(module, "fit_forest", counting)
+    explained = []
+
+    def capturing(model, *args, _explain=experiments_module.shapley_sampled, **kwargs):
+        explained.append(model)
+        return _explain(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, "shapley_sampled", capturing)
+    corpus = diversity_corpus(seed=3, n_days=400)
+    scenario = Scenario(date(2019, 1, 1), 7)
+    result = run_scenario(corpus, scenario, fast_config(seed=5, target_count=target_count))
+    rounds = result.fra_iterations
+    assert (rounds > 0) == (target_count == 4)
+    # FRA's forests, the final forest, one forest per category arm, and the
+    # full-width forest only when no FRA round fitted it
+    categories = len(result.improvement.mse_by_category)
+    assert len(fits) == rounds + 1 + categories + (rounds == 0)
+    assert explained[0].feature_names == tuple(fits[0])
+
+    # with tune_first the explained forest has the tuned parameters
+    tiny_rf = [EnsembleParams(n_estimators=3, max_depth=2),
+               EnsembleParams(n_estimators=5, max_depth=4)]
+    tiny_gbt = [EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=3, max_depth=2,
+                               learning_rate=0.1, bootstrap=False)]
+    monkeypatch.setattr(fra_module, "default_rf_grid", lambda: tiny_rf)
+    monkeypatch.setattr(fra_module, "default_gbt_grid", lambda: tiny_gbt)
+    config = fast_config(seed=5, target_count=target_count)
+    tuned = replace(config, fra=replace(config.fra, rf_params=None, gbt_params=None,
+                                        tune_first=True, cv_folds=3))
+    explained.clear()
+    result = run_scenario(corpus, scenario, tuned)
+    assert len(explained) == 1 and explained[0].params in tiny_rf
+    assert result.model_summary["rf"] == _params_summary(explained[0].params)
 
 
 def test_run_scenario_stage_error_names_stage():

@@ -172,7 +172,7 @@ def test_fra_forced_progress_rule(monkeypatch):
 
     def stub(dataset, current, rf_params, gbt_params, pfi_repeats, seed, round_key=0):
         return {m: ImportanceReport(r.method, {f: r.scores[f] for f in current})
-                for m, r in fixed.items()}
+                for m, r in fixed.items()}, None
 
     import cryptodiv.fra as fra_module
     monkeypatch.setattr(fra_module, "evaluate_methods", stub)
