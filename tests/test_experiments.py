@@ -264,8 +264,8 @@ def test_run_scenario_fits_each_forest_once(monkeypatch, target_count):
     fits = []
     for module in (experiments_module, fra_module):
         def counting(*args, _fit=module.fit_forest, **kwargs):
-            fits.append(kwargs["feature_names"])
-            return _fit(*args, **kwargs)
+            fits.append(_fit(*args, **kwargs))
+            return fits[-1]
         monkeypatch.setattr(module, "fit_forest", counting)
     explained = []
 
@@ -283,7 +283,9 @@ def test_run_scenario_fits_each_forest_once(monkeypatch, target_count):
     # full-width forest only when no FRA round fitted it
     categories = len(result.improvement.mse_by_category)
     assert len(fits) == rounds + 1 + categories + (rounds == 0)
-    assert explained[0].feature_names == tuple(fits[0])
+    # the explained forest is the first one fitted: round 1's, or the fallback
+    assert len(explained) == 1 and explained[0] is fits[0]
+    assert len(explained[0].feature_names) == sum(result.candidate_counts.values())
 
     # with tune_first the explained forest has the tuned parameters
     tiny_rf = [EnsembleParams(n_estimators=3, max_depth=2),
