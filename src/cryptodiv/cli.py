@@ -25,6 +25,7 @@ from typing import Callable
 
 from . import data, experiments, fra, index, indicators, reports
 from ._parallel import WorkerDied, fork_map
+from ._syntax import parse_day, parse_number
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
@@ -321,7 +322,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _load_single_series_csv(path: Path) -> dict[date, float]:
-    """Read a `date,<value>` CSV of finite values, one per date, into a date -> value map."""
+    """Read a `date,<value>` CSV of finite values, one per date, into a date -> value map.
+
+    A row of other than two cells is a bad row."""
     if not path.is_file():
         raise FileNotFoundError(f"reference file not found: {path}")
     out: dict[date, float] = {}
@@ -333,13 +336,13 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
             try:
-                day, value = date.fromisoformat(cells[0]), float(cells[1])
-            except (ValueError, IndexError):
+                stamp, cell = line.split(",")
+                day, value = parse_day(stamp), parse_number(cell)
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad row {line!r}") from None
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {cells[1]!r}")
+                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
             if day in out:
                 raise ValueError(f"{path}:{lineno}: repeated date {day}")
             out[day] = value

@@ -11,6 +11,7 @@ are row slices of it with a shifted future-index target.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -18,9 +19,11 @@ from datetime import date
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
+
+from ._syntax import parse_day, parse_number
 
 
 class ManifestError(ValueError):
@@ -223,35 +226,97 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
             if tag not in _CATEGORY_TAGS:
                 raise ManifestError(f"{csv_path}: unknown category {tag!r} for metric {m!r}")
             categories[m] = _CATEGORY_TAGS[tag]
+        body = fh.read()
 
-        rows: list[tuple[date, list[float]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
+    parsed = _parse_body(body, len(metrics))
+    if parsed is None:
+        _raise_first_bad_row(csv_path, body, metrics)
+    dates, table = parsed
+    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: file order among equal dates
+    dates = tuple(dates[i] for i in order)
+    table = table[order]
+    return [MetricSeries(m, categories[m], dates, table[:, i]) for i, m in enumerate(metrics)]
+
+
+# ASCII characters that keep a body off the fast split: whitespace other than
+# "\n" (a cell may need stripping) and the quote, which csv reads specially
+_NOT_PLAIN = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", '"')
+
+
+def _parse_body(body: str, n: int) -> tuple[list[date], np.ndarray] | None:
+    """The dates and the (rows, n) value table of a metric CSV after its header row.
+
+    Returns None when a row breaks a rule; `_raise_first_bad_row` then names it.
+    The values come from one `np.loadtxt` call over the file's rows. Each equals
+    `float` of its stripped cell bit for bit, since both use CPython's
+    string-to-double conversion on the same ASCII text.
+    """
+    if "n" in body or "N" in body:  # every nan, inf and infinity literal has one
+        return None
+    plain = body.replace("\r\n", "\n")
+    if plain.isascii() and not any(c in plain for c in _NOT_PLAIN):
+        lines = plain.split("\n")
+    else:  # quotes, bare CRs or whitespace: csv cuts the records and cells, then strip
+        lines = []
+        for row in csv.reader(io.StringIO(body, newline="")):
+            cells = [c.strip() for c in row]
+            if any("," in c or "\n" in c or "\r" in c for c in cells):
+                return None
+            lines.append(",".join(cells))
+
+    dates, rows = [], []
+    for line in lines:
+        if not line or line[0] == ",":
+            if line.strip(","):  # values without a date
+                return None
+            continue  # a blank row
+        width = line.count(",")
+        if width > n:
+            return None
+        try:
+            dates.append(parse_day(line[:line.find(",")] if width else line))
+        except ValueError:
+            return None
+        # pad a short row, then write nan into every empty value cell
+        line += "," * (n - width)
+        if ",," in line:
+            line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+        rows.append(line + "nan" if line.endswith(",") else line)
+    if not rows or n == 0:
+        return dates, np.full((len(rows), n), np.nan)
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, usecols=range(1, n + 1))
+    except ValueError:
+        return None
+    if np.isinf(table).any():  # an overflowing literal such as 1e999
+        return None
+    return dates, table
+
+
+def _raise_first_bad_row(csv_path: Path, body: str, metrics: list[str]) -> NoReturn:
+    """Raise the error for the first row of `body` that breaks a rule, read cell by cell."""
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not "".join(row).strip():
+            continue
+        try:
+            parse_day(row[0].strip())
+        except ValueError:
+            raise ManifestError(f"{csv_path}:{lineno}: unparseable date {row[0]!r}") from None
+        if len(row) > len(metrics) + 1:
+            raise ManifestError(f"{csv_path}:{lineno}: row has {len(row)} cells "
+                                f"but the header has {len(metrics) + 1}")
+        for m, cell in zip(metrics, row[1:]):
+            cell = cell.strip()
+            if not cell:
                 continue
             try:
-                d = date.fromisoformat(row[0].strip())
+                value = parse_number(cell)
             except ValueError:
-                raise ManifestError(f"{csv_path}:{lineno}: unparseable date {row[0]!r}") from None
-            vals = []
-            for i, m in enumerate(metrics, start=1):
-                cell = row[i].strip() if i < len(row) else ""
-                if cell == "":
-                    vals.append(np.nan)
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ManifestError(f"{csv_path}:{lineno}: bad value {cell!r} for {m!r}") from None
-                    if not math.isfinite(value):
-                        raise ManifestError(f"{csv_path}:{lineno}: non-finite value {cell!r} for {m!r} "
-                                            "(leave the cell empty for a missing value)")
-                    vals.append(value)
-            rows.append((d, vals))
-
-    rows.sort(key=lambda r: r[0])  # stable: file order preserved among equal dates
-    dates = tuple(r[0] for r in rows)
-    table = np.array([r[1] for r in rows]) if rows else np.empty((0, len(metrics)))
-    return [MetricSeries(m, categories[m], dates, table[:, i]) for i, m in enumerate(metrics)]
+                raise ManifestError(f"{csv_path}:{lineno}: bad value {cell!r} for {m!r}") from None
+            if not math.isfinite(value):
+                raise ManifestError(f"{csv_path}:{lineno}: non-finite value {cell!r} for {m!r} "
+                                    "(leave the cell empty for a missing value)")
+    raise RuntimeError(f"{csv_path}: the bulk parse rejected a file that the row scan accepts")
 
 
 # ---------------------------------------------------------------------------

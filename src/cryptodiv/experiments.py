@@ -265,15 +265,16 @@ def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
         raise ValueError(f"unknown importance method {method!r}")
     if method == "pearson":
         return pearson_report(train.features, train.target)
-    model = fit_full_forest(train, config.fra.rf_params or DEFAULT_RF_PARAMS,
-                            _fra_seed(scenario, config), jobs=jobs)
-    seed = scenario_seed(config.seed, scenario)
+    fra_seed = _fra_seed(scenario, config)
+    model = fit_full_forest(train, config.fra.rf_params or DEFAULT_RF_PARAMS, fra_seed, jobs=jobs)
     if method == "mdi":
         return mdi(model)
     if method == "shapley":
-        return _shapley_ranking(model, train, config.shapley, seed, jobs=jobs)
+        return _shapley_ranking(model, train, config.shapley, scenario_seed(config.seed, scenario),
+                                jobs=jobs)
+    # round 1's rf_pfi: the same forest permuted under the same key
     return pfi(model, train.matrix(), train.target, repeats=config.fra.pfi_repeats,
-               seed=derive_seed(seed, "importance", "pfi"), jobs=jobs)
+               seed=derive_seed(fra_seed, "fra", "rf_pfi", 1), jobs=jobs)
 
 
 def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:

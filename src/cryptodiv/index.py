@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from ._syntax import parse_day, parse_number
 
 
 class IndexDomainError(ValueError):
@@ -43,7 +47,13 @@ class McapSnapshot:
     caps: dict[str, float]
 
     def __post_init__(self):
+        caps = self.caps.values()
+        # a NaN or an infinity makes the sum non-finite, and the loop names it
+        if not caps or (math.isfinite(sum(caps)) and min(caps) >= 0):
+            return
         for symbol, cap in self.caps.items():
+            if not math.isfinite(cap):
+                raise ValueError(f"{self.date} {symbol}: non-finite market cap {cap}")
             if cap < 0:
                 raise ValueError(f"{self.date} {symbol}: negative market cap {cap}")
 
@@ -57,8 +67,14 @@ def select_top_n(snapshot: McapSnapshot, n: int) -> list[str]:
 
 
 def top_n_cap(snapshot: McapSnapshot, n: int) -> float:
-    """S, the summed market cap of the snapshot's top-n constituents."""
-    return float(sum(snapshot.caps[s] for s in select_top_n(snapshot, n)))
+    """S, the summed market cap of the snapshot's top-n constituents.
+
+    Sums the n largest caps in descending order: the caps of `select_top_n`, in
+    its order, since symbols only break ties between equal caps.
+    """
+    if not snapshot.caps:
+        raise ValueError(f"{snapshot.date}: empty snapshot")
+    return float(sum(sorted(snapshot.caps.values(), reverse=True)[:n]))
 
 
 def crypto100(snapshot: McapSnapshot, params: IndexParams = IndexParams()) -> float:
@@ -122,22 +138,90 @@ def calibrate_power(
 # ---------------------------------------------------------------------------
 
 def load_mcap_csv(path: str | Path) -> list[McapSnapshot]:
-    """Read long-format `date,asset,market_cap_usd` rows into daily snapshots."""
+    """Read long-format `date,asset,market_cap_usd` rows into daily snapshots.
+
+    A file whose every row is one valid asset-day is read in bulk
+    (`_read_caps_in_bulk`); any other file row by row, which skips blank rows
+    and names the first bad row.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"market-cap file not found: {path}")
+    per_day = _read_caps_in_bulk(path)
+    if per_day is None:
+        per_day = _read_caps_by_row(path)
+    return [McapSnapshot(d, per_day[d]) for d in sorted(per_day)]
+
+
+_CAP_ROW = np.dtype([("date", object), ("asset", object), ("cap", np.float64)])
+_CHUNK_CHARS = 1 << 17
+
+
+def _caps_rows(fh, path: Path):
+    """The csv rows of an open market-cap file after its checked header."""
+    rows = csv.reader(fh)
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != ["date", "asset", "market_cap_usd"]:
+        raise ValueError(f"{path}: expected header date,asset,market_cap_usd")
+    return rows
+
+
+def _read_caps_in_bulk(path: Path) -> dict[date, dict[str, float]] | None:
+    """{day: {asset: cap}}, or None when some row is not one valid asset-day.
+
+    Streams the file in chunks of lines. One `np.loadtxt` call cuts a chunk
+    into rows of three cells and parses its caps (the same bits as `float`),
+    and one check finds any non-finite cap. Each distinct date cell is parsed
+    once, and each run of rows on one date joins its day in one dict update.
+    A quote sends the file to the row-by-row reader, which reads csv quoting.
+    """
     per_day: dict[date, dict[str, float]] = {}
+    day_of: dict[str, dict[str, float]] = {}  # date cell -> its day in per_day
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["date", "asset", "market_cap_usd"]:
-            raise ValueError(f"{path}: expected header date,asset,market_cap_usd")
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
+        _caps_rows(fh, path)
+        while chunk := fh.readlines(_CHUNK_CHARS):
+            text = "".join(chunk)
+            if '"' in text:
+                return None
+            if not text.strip():
                 continue
             try:
-                d = date.fromisoformat(row[0].strip())
-                cap = float(row[2])
+                rows = np.loadtxt(chunk, delimiter=",", dtype=_CAP_ROW, comments=None, ndmin=1)
+            except ValueError:
+                return None
+            if not np.isfinite(rows["cap"]).all():
+                return None
+            symbols = list(map(sys.intern, map(str.strip, rows["asset"].tolist())))
+            caps = rows["cap"].tolist()
+            start = 0
+            for stamp, run in groupby(rows["date"].tolist()):
+                stop = start + len(list(run))
+                day = day_of.get(stamp)
+                if day is None:
+                    try:
+                        day = day_of[stamp] = per_day.setdefault(parse_day(stamp.strip()), {})
+                    except ValueError:
+                        return None
+                size = len(day)
+                day.update(zip(symbols[start:stop], caps[start:stop]))
+                if len(day) != size + stop - start:  # an asset twice on one day
+                    return None
+                start = stop
+    return per_day
+
+
+def _read_caps_by_row(path: Path) -> dict[date, dict[str, float]]:
+    """{day: {asset: cap}}, read one row at a time; raises for the first bad row."""
+    per_day: dict[date, dict[str, float]] = {}
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(_caps_rows(fh, path), start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) > 3:
+                raise ValueError(f"{path}:{lineno}: row has {len(row)} cells but the header has 3")
+            try:
+                d = parse_day(row[0].strip())
+                cap = parse_number(row[2])
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{lineno}: bad market-cap row {row!r}") from None
             if not math.isfinite(cap):
@@ -147,7 +231,7 @@ def load_mcap_csv(path: str | Path) -> list[McapSnapshot]:
             if symbol in day:
                 raise ValueError(f"{path}:{lineno}: duplicate asset {symbol!r} on {d}")
             day[symbol] = cap
-    return [McapSnapshot(d, per_day[d]) for d in sorted(per_day)]
+    return per_day
 
 
 def index_series(snapshots: Sequence[McapSnapshot], params: IndexParams) -> list[tuple[date, float, float]]:

@@ -111,7 +111,10 @@ def test_index_command_missing_file(tmp_path, capsys):
     ("2020-01-05,nan", "non-finite value 'nan'"),
     ("2020-01-05,-inf", "non-finite value '-inf'"),
     ("2020-01-03,1000.0", "repeated date 2020-01-03"),
-], ids=["nan", "inf", "repeated-date"])
+    ("20200105,1000.0", "bad row '20200105,1000.0'"),
+    ("2020-01-05,1_000", "bad row '2020-01-05,1_000'"),
+    ("2020-01-05,1000.0,7", "bad row '2020-01-05,1000.0,7'"),
+], ids=["nan", "inf", "repeated-date", "basic-date", "underscore", "wide-row"])
 def test_index_calibrate_rejects_bad_reference_row(tmp_path, capsys, row, problem):
     mcaps = tmp_path / "mcaps.csv"
     write_mcaps(mcaps, days=40)
@@ -592,6 +595,25 @@ def test_importance_mdi_writes_the_round_one_rf_mdi_of_run(tmp_path, monkeypatch
     out = tmp_path / "mdi.csv"
     assert main(importance_args(config, "mdi", out, 1)) == 0
     assert out.read_text() == rounds[0]["rf_mdi"].to_csv()
+
+
+def test_importance_pfi_writes_the_round_one_rf_pfi_of_run(tmp_path, monkeypatch):
+    config = tiny_importance_setup(tmp_path)
+    rounds = []
+    original = fra.evaluate_methods
+
+    def capturing(*args, **kwargs):
+        reports, rf = original(*args, **kwargs)
+        rounds.append(reports)
+        return reports, rf
+
+    monkeypatch.setattr(fra, "evaluate_methods", capturing)
+    cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
+    assert main(["run", "--config", str(config), *cell]) == 0
+    assert len(rounds) >= 1
+    out = tmp_path / "pfi.csv"
+    assert main(importance_args(config, "pfi", out, 1)) == 0
+    assert out.read_text() == rounds[0]["rf_pfi"].to_csv()
 
 
 def test_rerun_keeps_files_it_does_not_own(tmp_path):

@@ -114,6 +114,29 @@ def test_load_corpus_skips_blank_and_whitespace_rows(tmp_path):
         load_corpus(tmp_path / "manifest.json")
 
 
+def test_load_corpus_rejects_a_row_wider_than_the_header(tmp_path):
+    write_csv(tmp_path / "a.csv", "date,m1", ["2019-01-01,1", "2019-01-02,1,999"])
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=r"a\.csv:3: row has 3 cells but the header has 2"):
+        load_corpus(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("stamp", ["20190102", "2019-W01-3"])
+def test_load_corpus_reads_only_yyyy_mm_dd_dates(tmp_path, stamp):
+    write_csv(tmp_path / "a.csv", "date,m1", ["2019-01-01,1", f"{stamp},2"])
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=rf"a\.csv:3: unparseable date '{stamp}'"):
+        load_corpus(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+def test_load_corpus_reads_only_ascii_numbers(tmp_path, cell):
+    (tmp_path / "a.csv").write_text(f"date,m1\n2019-01-01,1\n2019-01-02,{cell}\n", encoding="utf-8")
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=rf"a\.csv:3: bad value '{cell}' for 'm1'"):
+        load_corpus(tmp_path / "manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # dedupe
 # ---------------------------------------------------------------------------

@@ -186,6 +186,42 @@ def test_load_mcap_csv_skips_blank_and_whitespace_rows(tmp_path):
         load_mcap_csv(path)
 
 
+def test_load_mcap_csv_rejects_a_row_wider_than_the_header(tmp_path):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text("date,asset,market_cap_usd\n2020-01-01,ETH,1e8\n2020-01-01,BTC,1e9,oops\n")
+    with pytest.raises(ValueError, match=r"caps\.csv:3: row has 4 cells but the header has 3"):
+        load_mcap_csv(path)
+
+
+def test_load_mcap_csv_needs_exactly_the_three_columns(tmp_path):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text("date,asset,market_cap_usd,note\n2020-01-01,BTC,1e9,x\n")
+    with pytest.raises(ValueError, match="expected header"):
+        load_mcap_csv(path)
+
+
+@pytest.mark.parametrize("row", ["20200102,BTC,1e9", "2020-W01-3,BTC,1e9", "2020-01-02,BTC,1_000",
+                                 "2020-01-02,BTC,\u0661\u0662"],
+                         ids=["basic-date", "week-date", "underscore", "arabic-indic"])
+def test_load_mcap_csv_reads_one_date_and_number_syntax(tmp_path, row):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text(f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"caps\.csv:3: bad market-cap row"):
+        load_mcap_csv(path)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+def test_snapshot_rejects_non_finite_cap(cap):
+    with pytest.raises(ValueError, match="non-finite market cap"):
+        snap({"BTC": 1e9, "ETH": cap})
+
+
 def test_calibrate_tie_prefers_smaller_power():
     # reference at the geometric midpoint of the p=6 and p=7 indices ties them
     start = date(2020, 1, 1)
