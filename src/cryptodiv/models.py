@@ -267,7 +267,7 @@ def _resolve_features_per_split(setting: float | int | None, n_features: int) ->
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)   # _grow reads X by flat index
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -308,16 +308,18 @@ def _best_split_sorted(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     return local_feat, pos, float(threshold)
 
 
-def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
-          params: EnsembleParams, rng: np.random.Generator, m: int, rows: list[list]) -> None:
+def _grow(X: np.ndarray, y: np.ndarray, columns: tuple[np.ndarray, np.ndarray],
+          members: np.ndarray, depth: int, params: EnsembleParams, rng: np.random.Generator,
+          m: int, rows: list[list]) -> None:
     """Append one node, then its left and right subtrees, to `rows` (preorder).
 
-    sorted_idx[:, f] lists the node's rows sorted by feature f. Children
-    partition the parent's sorted columns instead of re-sorting, so each
-    level costs O(n * p) after the single O(n log n * p) root sort.
+    members are the node's rows in the root order of feature 0, and columns is
+    _sort_columns(X). Sorting the members' ranks in a column lists them in that
+    column's root order, so a node reads only its m candidate columns.
     """
-    n = sorted_idx.shape[0]
-    y_node = y[sorted_idx[:, 0]]
+    order, rank = columns
+    n = len(members)
+    y_node = y[members]
     mean = float(y_node.mean())
     centered = y_node - mean
     sse = float(centered @ centered)
@@ -328,51 +330,48 @@ def _grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
             or n < 2 * params.min_samples_leaf or np.ptp(y_node) == 0.0):
         return
 
-    p = X.shape[1]
+    n_rows, p = X.shape
     if m >= p:
         candidates = np.arange(p)
     else:
         candidates = np.sort(rng.choice(p, size=m, replace=False))
-    si = sorted_idx[:, candidates]
-    xs = X[si, candidates[None, :]]
-    ys = y[si] - mean
-    found = _best_split_sorted(xs, ys, params.min_samples_leaf)
+    start = candidates[:, None] * n_rows    # flat offset of each candidate's column
+    si = order.take(start + np.sort(rank.take(start + members), axis=1))
+    xs = X.take(si * p + candidates[:, None])
+    found = _best_split_sorted(xs.T, (y[si] - mean).T, params.min_samples_leaf)
     if found is None:
         return
     local_feat, pos, threshold = found
     row[0] = int(candidates[local_feat])
     row[1] = threshold
-
-    in_left = np.zeros(len(y), dtype=bool)
-    in_left[si[:pos + 1, local_feat]] = True
-    sel = in_left[sorted_idx]
-    sorted_t = sorted_idx.T
-    left_sorted = sorted_t[sel.T].reshape(p, pos + 1).T
-    right_sorted = sorted_t[~sel.T].reshape(p, n - pos - 1).T
-    row[2] = len(rows)
-    _grow(X, y, left_sorted, depth + 1, params, rng, m, rows)
-    row[3] = len(rows)
-    _grow(X, y, right_sorted, depth + 1, params, rng, m, rows)
+    winner = si[local_feat]
+    for child, link in ((winner[:pos + 1], 2), (winner[pos + 1:], 3)):
+        row[link] = len(rows)
+        _grow(X, y, columns, order[0, np.sort(rank[0, child])], depth + 1, params, rng, m, rows)
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams,
-             rng: np.random.Generator, _sorted_idx: np.ndarray | None = None) -> _NodeTable:
+def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.random.Generator,
+             _columns: tuple[np.ndarray, np.ndarray] | None = None) -> _NodeTable:
     """Grow one CART regression tree; rng drives per-node feature subsets.
 
-    _sorted_idx, if given, is _sort_columns(X), for callers that fit many
-    trees on the same X.
+    _columns, if given, is _sort_columns(X), for callers that fit many trees
+    on the same X.
     """
     X, y = _check_xy(X, y)
     m = _resolve_features_per_split(params.features_per_split, X.shape[1])
-    sorted_idx = _sort_columns(X) if _sorted_idx is None else _sorted_idx
+    columns = _sort_columns(X) if _columns is None else _columns
     rows: list[list] = []
-    _grow(X, y, sorted_idx, 0, params, rng, m, rows)
+    # the root holds every row, in the order of feature 0
+    _grow(X, y, columns, columns[0][0], 0, params, rng, m, rows)
     return _NodeTable.from_rows(rows)
 
 
-def _sort_columns(X: np.ndarray) -> np.ndarray:
-    """Row indices sorting each column of X, as the root of a tree needs them."""
-    return np.argsort(X, axis=0).astype(np.int32)
+def _sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, rank): order[f] is the rows sorted by column f, rank[f, r] row r's place in it."""
+    order = np.argsort(X.T, axis=1).astype(np.int32)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(len(X), dtype=np.int32), axis=1)
+    return order, rank
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
@@ -415,12 +414,12 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
     base = float(y.mean())
     residual = y - base
     at_root = np.zeros(len(y), dtype=np.intp)
-    sorted_idx = _sort_columns(X)   # every stage fits the same X
+    columns = _sort_columns(X)   # every stage fits the same X
     trees = []
     stage_mse = []
     for i in range(params.n_estimators):
         rng = substream(seed, "stage", i)
-        tree = fit_tree(X, residual, params, rng, _sorted_idx=sorted_idx)
+        tree = fit_tree(X, residual, params, rng, _columns=columns)
         residual = residual - params.learning_rate * tree.value[tree.leaves(X, at_root)]
         trees.append(tree)
         stage_mse.append(float(np.mean(residual * residual)))
