@@ -129,8 +129,8 @@ def _checked(where: str, fn: Callable, *args, **kwargs):
 
 
 def _periods(values) -> tuple[date, ...]:
-    """ISO period starts. Scenario labels carry only the year, so no two may share one."""
-    periods = tuple(date.fromisoformat(p) for p in values)
+    """YYYY-MM-DD period starts. Scenario labels carry only the year, so no two may share one."""
+    periods = tuple(parse_day(p) for p in values)
     seen: dict[int, date] = {}
     for p in periods:
         if p.year in seen:
@@ -281,7 +281,7 @@ def _prepare_corpus(cfg: RunConfig):
 
 def _cell_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[Scenario, data.Dataset]:
     """The cell that --period and --window name, and its train block."""
-    scenario = Scenario(_checked("--period", date.fromisoformat, args.period), args.window)
+    scenario = Scenario(_checked("--period", parse_day, args.period), args.window)
     corpus, _, _, _ = _prepare_corpus(cfg)
     train, _ = experiments.cell_blocks(corpus, scenario, cfg.pipeline)
     return scenario, train

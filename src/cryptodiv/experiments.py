@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from datetime import date
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._syntax import parse_day
 from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
 from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
                   fit_full_forest, fra_reduce)
@@ -399,8 +399,11 @@ def result_to_json(result: ScenarioResult) -> str:
 
 def result_from_json(text: str) -> ScenarioResult:
     doc = json.loads(text)
-    scenario = Scenario(date.fromisoformat(doc["scenario"]["period_start"]),
-                        int(doc["scenario"]["window"]))
+    try:
+        start = parse_day(doc["scenario"]["period_start"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario.period_start: {exc}") from exc
+    scenario = Scenario(start, int(doc["scenario"]["window"]))
     improvement_result = ImprovementResult(
         mse_diverse=doc["improvement"]["mse_diverse"],
         mse_by_category={Category(c): v for c, v in doc["improvement"]["mse_by_category"].items()},

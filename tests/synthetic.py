@@ -166,3 +166,24 @@ def write_run_config(config_path, manifest_path, out_dir, seed=0, periods=("2017
     }
     config_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
     return config_path
+
+
+def scenario_result(period_start=date(2019, 1, 1), window=7, improvement_by_category=None):
+    """A stored scenario result with a one-feature final vector, for report tests."""
+    from cryptodiv.data import Scenario
+    from cryptodiv.experiments import ImprovementResult, ScenarioResult
+    by_category = improvement_by_category or {Category.MACRO: 5.0}
+    return ScenarioResult(
+        scenario=Scenario(period_start, window),
+        final_features=["macro_00"],
+        feature_categories={"macro_00": Category.MACRO},
+        candidate_counts={Category.MACRO: 1},
+        contribution_factors={Category.MACRO: 1.0},
+        rf_importance={"macro_00": 1.0},
+        model_summary={},
+        improvement=ImprovementResult(
+            mse_diverse=1.0, mse_by_category={c: 1.0 for c in by_category},
+            improvement_by_category=dict(by_category),
+            mean_improvement=sum(by_category.values()) / len(by_category)),
+        fra_iterations=0, fra_forced_stop=False, shap_overlap=0,
+    )

@@ -12,7 +12,7 @@ from cryptodiv import experiments, fra, indicators, models
 from cryptodiv.cli import ConfigError, load_run_config, main
 from cryptodiv.experiments import StageError
 
-from synthetic import write_corpus, write_run_config
+from synthetic import scenario_result, write_corpus, write_run_config
 
 SMALL_COUNTS = {"macro": 4, "technical": 3, "sentiment": 3, "trad_index": 3,
                 "onchain_btc": 4, "onchain_usdc": 4}
@@ -403,6 +403,22 @@ def test_report_names_a_malformed_scenario_file(tmp_path, capsys, text):
     assert not (tmp_path / "results" / "tables").exists()
 
 
+@pytest.mark.parametrize("start", ["20190101", "2019-W01-2"], ids=["basic-date", "week-date"])
+def test_report_rejects_a_period_start_that_is_not_yyyy_mm_dd(tmp_path, capsys, start):
+    results = tmp_path / "results"
+    scenario_dir = results / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    stored = json.loads(experiments.result_to_json(scenario_result()))
+    stored["scenario"]["period_start"] = start
+    (scenario_dir / "2019_7.json").write_text(json.dumps(stored))
+    assert main(["report", "--results", str(results)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == (f"error: {scenario_dir / '2019_7.json'}: not a stored scenario result: "
+                      f"scenario.period_start: not a YYYY-MM-DD date: '{start}'")
+    assert not (results / "tables").exists()
+
+
 # ---------------------------------------------------------------------------
 # fra / importance subcommands
 # ---------------------------------------------------------------------------
@@ -687,8 +703,15 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
 
 @pytest.mark.parametrize("command, flag, value, named", [
     ("run", "--windows", "", "bad value for --windows: expected a list of integers >= 1"),
-    ("run", "--periods", "", "bad value for --periods: Invalid isoformat string"),
+    ("run", "--periods", "", "bad value for --periods: not a YYYY-MM-DD date: ''"),
     ("run", "--periods", "2018-13-01", "bad value for --periods: month must be in 1..12"),
+    ("run", "--periods", "2019-W01-1",
+     "bad value for --periods: not a YYYY-MM-DD date: '2019-W01-1'"),
+    ("run", "--periods", "2018-02-01,20190101",
+     "bad value for --periods: not a YYYY-MM-DD date: '20190101'"),
+    ("fra", "--period", "20190101", "bad value for --period: not a YYYY-MM-DD date: '20190101'"),
+    ("importance", "--period", "2019-W01-2",
+     "bad value for --period: not a YYYY-MM-DD date: '2019-W01-2'"),
     ("run", "--target-features", "0",
      "bad value for --target-features: target_count must be >= 1, got 0"),
     ("run", "--holdout", "1.5",
@@ -700,9 +723,10 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     ("run", "--power", "3", "--power given, but the config has no 'index' section"),
     ("fra", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--power", "3", "--power given, but the config has no 'index' section"),
-], ids=["windows-empty", "periods-empty", "periods-month", "target-features", "holdout",
-        "power", "out-empty", "fra-top-k", "importance-out-empty", "run-power-without-index",
-        "fra-power-without-index", "importance-power-without-index"])
+], ids=["windows-empty", "periods-empty", "periods-month", "periods-week-date",
+        "periods-basic-date", "fra-period-basic-date", "importance-period-week-date",
+        "target-features", "holdout", "power", "out-empty", "fra-top-k", "importance-out-empty",
+        "run-power-without-index", "fra-power-without-index", "importance-power-without-index"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
@@ -756,6 +780,9 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("windows",), [1, 0], "'windows' at config root"),
     (("windows",), 7, "'windows' at config root"),
     (("windows",), [], "'windows' at config root"),
+    (("periods",), ["2019-W01-1"], "'periods' at config root: not a YYYY-MM-DD date"),
+    (("periods",), ["2018-02-01", "20190101"], "'periods' at config root: not a YYYY-MM-DD date"),
+    (("periods",), [20190101], "'periods' at config root"),
     (("fra", "rf", "kind"), 5, "'kind'] at fra.rf"),
     (("fra", "gbt", "kind"), "rf", "'kind'] at fra.gbt"),
     (("fra", "pfi_repeats"), 0, "pfi_repeats must be >= 1, got 0"),
@@ -768,7 +795,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
         "windows-string-item", "windows-bool-item", "sources-string", "sources-number-item",
         "cell-windows-float-item", "cell-windows-string-item", "cell-windows-bool-item",
-        "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "rf-kind", "gbt-kind",
+        "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "periods-week-date",
+        "periods-basic-date", "periods-number", "rf-kind", "gbt-kind",
         "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
