@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from datetime import date
+from functools import reduce
 from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -69,12 +71,13 @@ def select_top_n(snapshot: McapSnapshot, n: int) -> list[str]:
 def top_n_cap(snapshot: McapSnapshot, n: int) -> float:
     """S, the summed market cap of the snapshot's top-n constituents.
 
-    Sums the n largest caps in descending order: the caps of `select_top_n`, in
-    its order, since symbols only break ties between equal caps.
+    Adds the n largest caps left to right in descending order: the caps of
+    `select_top_n`, in its order, since symbols only break ties between equal
+    caps. Builtin `sum` would compensate from Python 3.12 on.
     """
     if not snapshot.caps:
         raise ValueError(f"{snapshot.date}: empty snapshot")
-    return float(sum(sorted(snapshot.caps.values(), reverse=True)[:n]))
+    return float(reduce(operator.add, sorted(snapshot.caps.values(), reverse=True)[:n], 0.0))
 
 
 def crypto100(snapshot: McapSnapshot, params: IndexParams = IndexParams()) -> float:

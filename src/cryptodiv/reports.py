@@ -6,7 +6,9 @@ was absent from a period's runs).
 
 from __future__ import annotations
 
+import operator
 import os
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -117,7 +119,9 @@ def render_improvement_by_category_csv(results: Sequence[ScenarioResult]) -> str
             values = [r.improvement.improvement_by_category[cat]
                       for r in grouped[period]
                       if cat in r.improvement.improvement_by_category]
-            cells.append(f"{sum(values) / len(values):.2f}" if values else "-")
+            # left to right: builtin sum would compensate from Python 3.12 on
+            total = reduce(operator.add, values, 0.0)
+            cells.append(f"{total / len(values):.2f}" if values else "-")
         lines.append(f"{CATEGORY_LABELS[cat]}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cryptodiv.index import (IndexDomainError, IndexParams, McapSnapshot,
-                             calibrate_power, crypto100, index_value, select_top_n)
+                             calibrate_power, crypto100, index_value, select_top_n, top_n_cap)
 
 
 def snap(caps, when=date(2020, 1, 1)):
@@ -29,6 +29,12 @@ def test_top_n_matches_sort_oracle():
     caps = {f"A{i:03d}": float(rng.integers(1, 10_000)) for i in range(500)}
     oracle = [s for s, _ in sorted(caps.items(), key=lambda kv: (-kv[1], kv[0]))][:100]
     assert select_top_n(snap(caps), 100) == oracle
+
+
+def test_top_n_cap_adds_left_to_right():
+    # a compensated sum (builtin sum from Python 3.12 on) gives 1e16 + 2
+    assert top_n_cap(snap({"BTC": 1e16, "ETH": 1.0, "XRP": 1.0}), 3) == 1e16
+    assert top_n_cap(snap({"BTC": 1e16, "ETH": 1.0, "XRP": 1.0}), 2) == 1e16
 
 
 def test_top_n_empty_snapshot():

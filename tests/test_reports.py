@@ -1,0 +1,24 @@
+from datetime import date
+
+from cryptodiv.data import Category
+from cryptodiv.reports import render_improvement_by_category_csv
+
+from synthetic import scenario_result
+
+
+def test_improvement_by_category_mean_adds_left_to_right():
+    # three cells of one period; a compensated sum (builtin sum from Python 3.12
+    # on) would give 1.0 / 3 for macro
+    results = [scenario_result(date(2019, 1, 1), window,
+                               {Category.MACRO: value, Category.MARKET: 2.0})
+               for window, value in ((1, 1e16), (7, 1.0), (30, -1e16))]
+    assert render_improvement_by_category_csv(results).splitlines() == [
+        "category,2019", "Macroeconomic Indicators,0.00", "Market Inputs,2.00"]
+
+
+def test_improvement_by_category_mean_per_period():
+    results = [scenario_result(date(2018, 1, 1), 7, {Category.MACRO: 1.0}),
+               scenario_result(date(2019, 1, 1), 7, {Category.MACRO: 3.0}),
+               scenario_result(date(2019, 1, 1), 30, {Category.MACRO: -2.0})]
+    assert render_improvement_by_category_csv(results).splitlines() == [
+        "category,2018,2019", "Macroeconomic Indicators,1.00,0.50"]
