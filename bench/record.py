@@ -9,7 +9,8 @@ bytecode. It runs `perfbench/run.py` for each workload (`study`,
 `--trace 1` (per-layer metrics). Then it writes the acceptance criterion-8
 corpus (300 columns x 2000 days, 10 cells, from `tests/synthetic.py`) and
 times one `cryptodiv run` on it at `--jobs 1` and one at `--jobs N`, each in
-a fresh process, and checks that the two artifact trees are byte-identical.
+a fresh process (wall time, and CPU time from `os.wait4`), and checks that
+the two artifact trees are byte-identical.
 The output file holds every result together with the environment (CPU,
 Python and numpy versions, commit).
 """
@@ -48,7 +49,10 @@ def perfbench_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def criterion_8_run(config: Path, out: Path, jobs: int) -> dict:
-    """One `cryptodiv run` in a fresh process: wall time, peak RSS, artifact tree hash."""
+    """One `cryptodiv run` in a fresh process: wall and CPU time, peak RSS, artifact tree hash.
+
+    CPU time is the child's user plus system time, its worker processes included.
+    """
     cmd = [sys.executable, "-m", "cryptodiv.cli", "run", "--config", str(config),
            "--out", str(out), "--jobs", str(jobs)]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -59,7 +63,9 @@ def criterion_8_run(config: Path, out: Path, jobs: int) -> dict:
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SystemExit(f"criterion-8 run at --jobs {jobs} exited {code}")
-    return {"jobs": jobs, "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
+    return {"jobs": jobs, "wall_s": round(wall, 3),
+            "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
             "artifact_sha256": perfbench.tree_sha256(out)}
 
 
