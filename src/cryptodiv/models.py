@@ -368,8 +368,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.rando
 
 def _sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank): order[f] is the rows sorted by column f, rank[f, r] row r's place in it."""
-    order = np.argsort(X.T, axis=1).astype(np.int32)
-    rank = np.empty_like(order)
+    order = np.argsort(X.T, axis=1)     # intp: _grow's flat indices into X cannot overflow
+    rank = np.empty(order.shape, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(len(X), dtype=np.int32), axis=1)
     return order, rank
 

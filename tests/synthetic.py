@@ -5,7 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from cryptodiv.data import Category, Dataset
+from cryptodiv.data import Category, Dataset, Scenario
+from cryptodiv.experiments import ImprovementResult, ScenarioResult
 
 
 def _signal(rng, n, period):
@@ -170,8 +171,6 @@ def write_run_config(config_path, manifest_path, out_dir, seed=0, periods=("2017
 
 def scenario_result(period_start=date(2019, 1, 1), window=7, improvement_by_category=None):
     """A stored scenario result with a one-feature final vector, for report tests."""
-    from cryptodiv.data import Scenario
-    from cryptodiv.experiments import ImprovementResult, ScenarioResult
     by_category = improvement_by_category or {Category.MACRO: 5.0}
     return ScenarioResult(
         scenario=Scenario(period_start, window),
