@@ -114,10 +114,17 @@ def _build(cls, doc: dict, where: str, **given):
 
 
 def _parse_params(fra_doc: dict, key: str, kind: ModelKind) -> EnsembleParams | None:
+    """fra.rf or fra.gbt: a forest has no learning rate, and boosting never bootstraps."""
     if key not in fra_doc:
         return None
     where = f"fra.{key}"
-    return _build(EnsembleParams, _section(fra_doc, key, _PARAM_KEYS, where), where, kind=kind)
+    forest = kind is ModelKind.RANDOM_FOREST
+    allowed = _PARAM_KEYS - {"learning_rate"} if forest else _PARAM_KEYS
+    section = _section(fra_doc, key, allowed, where)
+    if not forest and section.get("bootstrap", False) is not False:
+        raise ConfigError(f"bad value for 'bootstrap' at {where}: expected false, "
+                          f"got {section['bootstrap']!r}")
+    return _build(EnsembleParams, {"bootstrap": forest, **section}, where, kind=kind)
 
 
 def _checked(where: str, fn: Callable, *args, **kwargs):
@@ -261,11 +268,8 @@ def _prepare_corpus(cfg: RunConfig):
         name = cfg.pipeline.target_metric
         if name in corpus:
             raise ConfigError(f"index target {name!r} already exists in the corpus")
-        corpus[name] = data.MetricSeries(
-            name, Category.MARKET,
-            tuple(d for d, _, _ in index_rows),
-            [v for _, _, v in index_rows],
-        )
+        days = [d.isoformat() for d, _, _ in index_rows]   # numpy reads ISO text faster than dates
+        corpus[name] = data.MetricSeries(name, Category.MARKET, days, [v for _, _, v in index_rows])
     pipeline = cfg.pipeline
     # a source that cleaning drops is skipped later, and drop_log.csv says why
     unknown = sorted(set(pipeline.indicator_sources) - set(corpus))
@@ -329,8 +333,8 @@ def _load_single_series_csv(path: Path) -> dict[date, float]:
         raise FileNotFoundError(f"reference file not found: {path}")
     out: dict[date, float] = {}
     with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("date,"):
+        header = fh.readline().strip().split(",")
+        if len(header) != 2 or header[0] != "date":
             raise ValueError(f"{path}: expected a 'date,<metric>' header")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

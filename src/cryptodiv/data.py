@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from ._syntax import parse_day, parse_number
+from ._syntax import csv_rows, parse_day, parse_number
 
 
 class ManifestError(ValueError):
@@ -51,26 +50,14 @@ class MetricSeries:
 
     name: str
     category: Category
-    dates: tuple[date, ...]
+    dates: np.ndarray   # datetime64[D], one per value
     values: np.ndarray
 
     def __post_init__(self):
         if len(self.dates) != len(self.values):
             raise ValueError(f"{self.name}: {len(self.dates)} dates vs {len(self.values)} values")
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    @classmethod
-    def from_points(cls, name: str, category: Category,
-                    points: Iterable[tuple[date, float | None]]) -> "MetricSeries":
-        pts = list(points)
-        dates = tuple(d for d, _ in pts)
-        values = np.array([np.nan if v is None else float(v) for _, v in pts])
-        return cls(name, category, dates, values)
-
-    @property
-    def points(self) -> list[tuple[date, float | None]]:
-        return [(d, None if np.isnan(v) else float(v))
-                for d, v in zip(self.dates, self.values)]
 
 
 @dataclass(frozen=True)
@@ -98,13 +85,14 @@ class Dataset:
     The target column is absent until make_target is applied.
     """
 
-    dates: tuple[date, ...]
+    dates: np.ndarray   # datetime64[D], one per row
     features: dict[str, np.ndarray]
     categories: dict[str, Category]
     target: np.ndarray | None = None
     window: int | None = None
 
     def __post_init__(self):
+        self.dates = np.asarray(self.dates, dtype="datetime64[D]")
         ordered = {}
         for name in sorted(self.features):
             col = np.asarray(self.features[name], dtype=np.float64)
@@ -207,11 +195,9 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
     if not csv_path.is_file():
         raise ManifestError(f"data file not found: {csv_path}")
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{csv_path}: empty file") from None
+        header = next(csv_rows(fh, csv_path, ManifestError), None)
+        if header is None:
+            raise ManifestError(f"{csv_path}: empty file")
         if not header or header[0] != "date":
             raise ManifestError(f"{csv_path}: first column must be 'date', got {header[:1]}")
         metrics = header[1:]
@@ -232,9 +218,8 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
     if parsed is None:
         _raise_first_bad_row(csv_path, body, metrics)
     dates, table = parsed
-    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: file order among equal dates
-    dates = tuple(dates[i] for i in order)
-    table = table[order]
+    order = np.argsort(dates, kind="stable")  # file order among equal dates
+    dates, table = dates[order], table[order]
     return [MetricSeries(m, categories[m], dates, table[:, i]) for i, m in enumerate(metrics)]
 
 
@@ -243,8 +228,8 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
 _NOT_PLAIN = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", '"')
 
 
-def _parse_body(body: str, n: int) -> tuple[list[date], np.ndarray] | None:
-    """The dates and the (rows, n) value table of a metric CSV after its header row.
+def _parse_body(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The datetime64[D] dates and the (rows, n) value table of a metric CSV after its header row.
 
     Returns None when a row breaks a rule; `_raise_first_bad_row` then names it.
     The values come from one `np.loadtxt` call over the file's rows. Each equals
@@ -258,13 +243,16 @@ def _parse_body(body: str, n: int) -> tuple[list[date], np.ndarray] | None:
         lines = plain.split("\n")
     else:  # quotes, bare CRs or whitespace: csv cuts the records and cells, then strip
         lines = []
-        for row in csv.reader(io.StringIO(body, newline="")):
-            cells = [c.strip() for c in row]
-            if any("," in c or "\n" in c or "\r" in c for c in cells):
-                return None
-            lines.append(",".join(cells))
+        try:
+            for row in csv.reader(io.StringIO(body, newline="")):
+                cells = [c.strip() for c in row]
+                if any("," in c or "\n" in c or "\r" in c for c in cells):
+                    return None
+                lines.append(",".join(cells))
+        except csv.Error:  # an oversized field: the row scan names its line
+            return None
 
-    dates, rows = [], []
+    stamps, rows = [], []
     for line in lines:
         if not line or line[0] == ",":
             if line.strip(","):  # values without a date
@@ -273,15 +261,18 @@ def _parse_body(body: str, n: int) -> tuple[list[date], np.ndarray] | None:
         width = line.count(",")
         if width > n:
             return None
+        stamp = line[:line.find(",")] if width else line
         try:
-            dates.append(parse_day(line[:line.find(",")] if width else line))
+            parse_day(stamp)
         except ValueError:
             return None
+        stamps.append(stamp)
         # pad a short row, then write nan into every empty value cell
         line += "," * (n - width)
         if ",," in line:
             line = line.replace(",,", ",nan,").replace(",,", ",nan,")
         rows.append(line + "nan" if line.endswith(",") else line)
+    dates = np.array(stamps, dtype="datetime64[D]")
     if not rows or n == 0:
         return dates, np.full((len(rows), n), np.nan)
     try:
@@ -295,7 +286,8 @@ def _parse_body(body: str, n: int) -> tuple[list[date], np.ndarray] | None:
 
 def _raise_first_bad_row(csv_path: Path, body: str, metrics: list[str]) -> NoReturn:
     """Raise the error for the first row of `body` that breaks a rule, read cell by cell."""
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    rows = csv_rows(io.StringIO(body, newline=""), csv_path, ManifestError, first_line=2)
+    for lineno, row in enumerate(rows, start=2):
         if not "".join(row).strip():
             continue
         try:
@@ -323,20 +315,13 @@ def _raise_first_bad_row(csv_path: Path, body: str, metrics: list[str]) -> NoRet
 # per-series cleaning
 # ---------------------------------------------------------------------------
 
-def _ordinals(dates: Sequence[date]) -> np.ndarray:
-    """`date.toordinal()` of each date as int64: consecutive days differ by 1."""
-    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
-
-
 def dedupe(series: MetricSeries) -> MetricSeries:
-    """Drop repeated dates, keeping the first occurrence of each."""
-    _, first = np.unique(_ordinals(series.dates), return_index=True)
+    """Drop repeated dates, keeping the first occurrence of each, in file order."""
+    _, first = np.unique(series.dates, return_index=True)
     if len(first) == len(series.dates):
         return series
-    keep = np.zeros(len(series.dates), dtype=bool)
-    keep[first] = True
-    return replace(series, dates=tuple(compress(series.dates, keep.tolist())),
-                   values=series.values[keep])
+    first.sort()
+    return replace(series, dates=series.dates[first], values=series.values[first])
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +374,32 @@ def interpolate_fill(values: np.ndarray) -> np.ndarray:
 # corpus-level cleaning
 # ---------------------------------------------------------------------------
 
-def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...], dict[str, np.ndarray]]:
-    """Pad every series with NaN onto the corpus-wide daily calendar.
+def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Pad every series with NaN onto the corpus-wide daily calendar, a datetime64[D] array.
 
     Each series' dates must be strictly ascending (ValueError).
     """
     if not corpus:
         raise ValueError("empty corpus")
-    firsts = [s.dates[0] for s in corpus.values() if s.dates]
-    lasts = [s.dates[-1] for s in corpus.values() if s.dates]
-    if not firsts:
+    dated = [s.dates for s in corpus.values() if len(s.dates)]
+    if not dated:
         raise ValueError("corpus has no dated points")
-    start, end = min(firsts), max(lasts)
-    # below 1 only when every dated series is out of order, which the loop rejects
-    n = max((end - start).days + 1, 0)
+    start, end = min(d[0] for d in dated), max(d[-1] for d in dated)
+    # empty only when every dated series is out of order, which the loop rejects
+    grid = np.arange(start, end + 1)
     columns = {}
     for name in sorted(corpus):
         series = corpus[name]
-        offsets = _ordinals(series.dates) - start.toordinal()
+        offsets = (series.dates - start).astype(np.int64)
         bad = np.flatnonzero(offsets[1:] <= offsets[:-1])
         if bad.size:
             i = int(bad[0]) + 1
             raise ValueError(f"{series.name}: dates must be strictly ascending, "
                              f"got {series.dates[i]} after {series.dates[i - 1]}")
-        col = np.full(n, np.nan)
+        col = np.full(len(grid), np.nan)
         col[offsets] = series.values
         columns[name] = col
-    return tuple((np.datetime64(start, "D") + np.arange(n)).tolist()), columns
+    return grid, columns
 
 
 def longest_flat_run(values: np.ndarray) -> int:
@@ -506,12 +490,13 @@ def slice_period(corpus: Dataset, scenario: Scenario) -> Dataset:
     if not corpus.features:
         raise ValueError("empty corpus")
     grid = corpus.dates
-    if not grid:
+    if not len(grid):
         raise ValueError("corpus has no dates")
-    if scenario.period_start > grid[-1] or scenario.period_start < grid[0]:
+    start = np.datetime64(scenario.period_start, "D")
+    if not grid[0] <= start <= grid[-1]:
         raise ValueError(
             f"period start {scenario.period_start} outside corpus range {grid[0]}..{grid[-1]}")
-    sliced = corpus.rows((scenario.period_start - grid[0]).days, corpus.n_rows)
+    sliced = corpus.rows((start - grid[0]).astype(np.int64), corpus.n_rows)
     return sliced.select(n for n, col in sliced.features.items() if not np.isnan(col).any())
 
 

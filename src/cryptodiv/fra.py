@@ -72,7 +72,7 @@ class IterationRecord:
 
 @dataclass
 class ReducedFeatureSet:
-    survivors: list[str]            # ordered by ascending mean rank at the last round
+    survivors: list[str]            # by ascending mean rank at the last round; by name if none ran
     original: list[str]
     iterations: list[IterationRecord]
     forced_stop: bool               # max_iterations hit before reaching target_count

@@ -9,7 +9,6 @@ log-ratio between the candidate index and the reference.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import sys
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._syntax import parse_day, parse_number
+from ._syntax import csv_rows, parse_day, parse_number
 
 
 class IndexDomainError(ValueError):
@@ -162,7 +161,7 @@ _CHUNK_CHARS = 1 << 17
 
 def _caps_rows(fh, path: Path):
     """The csv rows of an open market-cap file after its checked header."""
-    rows = csv.reader(fh)
+    rows = csv_rows(fh, path)
     header = next(rows, None)
     if header is None or [h.strip() for h in header] != ["date", "asset", "market_cap_usd"]:
         raise ValueError(f"{path}: expected header date,asset,market_cap_usd")

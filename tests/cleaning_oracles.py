@@ -16,27 +16,29 @@ from cryptodiv.data import MetricSeries
 
 
 def dedupe(series: MetricSeries) -> MetricSeries:
+    dates = series.dates.tolist()
     seen: set[date] = set()
     keep = []
-    for i, d in enumerate(series.dates):
+    for i, d in enumerate(dates):
         if d not in seen:
             seen.add(d)
             keep.append(i)
-    if len(keep) == len(series.dates):
+    if len(keep) == len(dates):
         return series
     idx = np.array(keep)
-    return replace(series, dates=tuple(series.dates[i] for i in keep), values=series.values[idx])
+    return replace(series, dates=tuple(dates[i] for i in keep), values=series.values[idx])
 
 
 def to_daily_grid(series: MetricSeries) -> MetricSeries:
-    if not series.dates:
+    dates = series.dates.tolist()
+    if not dates:
         return series
-    first, last = series.dates[0], series.dates[-1]
+    first, last = dates[0], dates[-1]
     n = (last - first).days + 1
-    if n == len(series.dates):
+    if n == len(dates):
         return series
     values = np.full(n, np.nan)
-    for d, v in zip(series.dates, series.values):
+    for d, v in zip(dates, series.values):
         values[(d - first).days] = v
     dates = tuple(first + timedelta(days=i) for i in range(n))
     return replace(series, dates=dates, values=values)
@@ -64,8 +66,9 @@ def forward_fill(series: MetricSeries) -> tuple[MetricSeries, int]:
 def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...], dict[str, np.ndarray]]:
     if not corpus:
         raise ValueError("empty corpus")
-    firsts = [s.dates[0] for s in corpus.values() if s.dates]
-    lasts = [s.dates[-1] for s in corpus.values() if s.dates]
+    calendars = {name: s.dates.tolist() for name, s in corpus.items()}
+    firsts = [dates[0] for dates in calendars.values() if dates]
+    lasts = [dates[-1] for dates in calendars.values() if dates]
     if not firsts:
         raise ValueError("corpus has no dated points")
     start, end = min(firsts), max(lasts)
@@ -75,7 +78,7 @@ def align_calendar(corpus: Mapping[str, MetricSeries]) -> tuple[tuple[date, ...]
     for name in sorted(corpus):
         series = corpus[name]
         col = np.full(n, np.nan)
-        for d, v in zip(series.dates, series.values):
+        for d, v in zip(calendars[name], series.values):
             col[(d - start).days] = v
         columns[name] = col
     return grid, columns

@@ -15,8 +15,8 @@ def day():
 
 def series_from(day, name, values, category=Category.MARKET, start=0):
     """Series on consecutive days; None marks a missing value."""
-    points = [(day(start + i), v) for i, v in enumerate(values)]
-    return MetricSeries.from_points(name, category, points)
+    dates = [day(start + i) for i in range(len(values))]
+    return MetricSeries(name, category, dates, [np.nan if v is None else v for v in values])
 
 
 @pytest.fixture

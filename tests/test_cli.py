@@ -131,6 +131,45 @@ def test_index_calibrate_rejects_bad_reference_row(tmp_path, capsys, row, proble
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", ["date,btc_price,volume", "date,btc_price,"])
+def test_index_calibrate_rejects_a_reference_header_of_other_than_date_and_one_value(
+        tmp_path, capsys, header):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=40)
+    lines = [header] + [f"{(date(2020, 1, 1) + timedelta(days=i)).isoformat()},{1000.0 + i}"
+                        for i in range(40)]
+    reference = tmp_path / "btc.csv"
+    reference.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "index.csv"
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(out), "--calibrate",
+                 "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == f"error: {reference}: expected a 'date,<metric>' header\n"
+    assert not out.exists()
+
+
+# the csv module rejects a field longer than 131,072 characters
+HUGE = "1" * 200_000
+
+
+def test_index_oversized_field_is_one_error_line(tmp_path, capsys):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=3)
+    with open(mcaps, "a") as fh:
+        fh.write(f"2020-01-04,BTC,{HUGE}\n")
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(tmp_path / "index.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {mcaps}:11: field larger than field limit (131072)\n"
+
+
+def test_run_oversized_field_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text(f"date,m1\n2019-01-01,1\n2019-01-02,{HUGE}\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"files": {"a.csv": {"m1": "macro"}}}))
+    config = write_run_config(tmp_path / "config.json", manifest, tmp_path / "out")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'a.csv'}:3: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--top-n", "0"], "--top-n, --power: top_n must be >= 1, got 0"),
     (["--power", "0"], "--top-n, --power: power must be >= 1, got 0"),
@@ -540,7 +579,7 @@ def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch):
 
     def capturing(train, fra_config):
         result = original(train, fra_config)
-        by_cell.setdefault((train.dates[0], train.window), result)
+        by_cell.setdefault((train.dates[0].item(), train.window), result)
         return result
 
     monkeypatch.setattr(experiments, "fra_reduce", capturing)
@@ -790,6 +829,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("fra", "rf", "features_per_split"), 1.5,
      "at fra.rf: features_per_split fraction must be in"),
     (("fra", "gbt", "features_per_split"), 0, "at fra.gbt: features_per_split count must be >= 1"),
+    (("fra", "gbt", "bootstrap"), True, "'bootstrap' at fra.gbt"),
+    (("fra", "rf", "learning_rate"), 99.0, "'learning_rate'] at fra.rf"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
@@ -797,7 +838,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "cell-windows-float-item", "cell-windows-string-item", "cell-windows-bool-item",
         "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "periods-week-date",
         "periods-basic-date", "periods-number", "rf-kind", "gbt-kind",
-        "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count"])
+        "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count", "gbt-bootstrap",
+        "rf-learning-rate"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)
@@ -813,6 +855,12 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named)
     assert main(["run", "--config", str(config)]) == 1
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_gbt_section_without_bootstrap_does_not_bootstrap(tmp_path):
+    config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", tmp_path / "out",
+                              gbt={"n_estimators": 15, "max_depth": 3})
+    assert load_run_config(config).pipeline.fra.gbt_params.bootstrap is False
 
 
 def test_empty_indicator_windows_means_no_indicators(tmp_path):

@@ -57,7 +57,8 @@ def test_load_corpus_category_round_trip(tmp_path):
     write_manifest(tmp_path / "manifest.json", {"usdc.csv": {"usdc_SplyCur": "onchain_usdc"}})
     corpus = load_corpus(tmp_path / "manifest.json")
     assert corpus["usdc_SplyCur"].category is Category.ONCHAIN_USDC
-    assert corpus["usdc_SplyCur"].points == [(date(2019, 1, 1), 400.0), (date(2019, 1, 2), 410.0)]
+    assert corpus["usdc_SplyCur"].dates.tolist() == [date(2019, 1, 1), date(2019, 1, 2)]
+    assert corpus["usdc_SplyCur"].values.tolist() == [400.0, 410.0]
 
 
 def test_load_corpus_missing_file_and_unknown_category(tmp_path):
@@ -89,8 +90,10 @@ def test_load_corpus_empty_cell_is_missing(tmp_path):
     write_csv(tmp_path / "a.csv", "date,m1,m2", ["2019-01-01,1,", "2019-01-02,,2"])
     write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro", "m2": "macro"}})
     corpus = load_corpus(tmp_path / "manifest.json")
-    assert corpus["m1"].points == [(date(2019, 1, 1), 1.0), (date(2019, 1, 2), None)]
-    assert corpus["m2"].points == [(date(2019, 1, 1), None), (date(2019, 1, 2), 2.0)]
+    assert corpus["m1"].dates.tolist() == corpus["m2"].dates.tolist() == [date(2019, 1, 1),
+                                                                            date(2019, 1, 2)]
+    assert np.array_equal(corpus["m1"].values, [1.0, np.nan], equal_nan=True)
+    assert np.array_equal(corpus["m2"].values, [np.nan, 2.0], equal_nan=True)
 
 
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -106,8 +109,10 @@ def test_load_corpus_skips_blank_and_whitespace_rows(tmp_path):
               ["2019-01-01,1,2", "", " , ,", "2019-01-02,3,4", "\t,  "])
     write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro", "m2": "macro"}})
     corpus = load_corpus(tmp_path / "manifest.json")
-    assert corpus["m1"].points == [(date(2019, 1, 1), 1.0), (date(2019, 1, 2), 3.0)]
-    assert corpus["m2"].points == [(date(2019, 1, 1), 2.0), (date(2019, 1, 2), 4.0)]
+    assert corpus["m1"].dates.tolist() == corpus["m2"].dates.tolist() == [date(2019, 1, 1),
+                                                                            date(2019, 1, 2)]
+    assert corpus["m1"].values.tolist() == [1.0, 3.0]
+    assert corpus["m2"].values.tolist() == [2.0, 4.0]
 
     write_csv(tmp_path / "a.csv", "date,m1,m2", ["2019-01-01,1,2", " , ,", "", "2019-01-02,x,4"])
     with pytest.raises(ManifestError, match=r"a\.csv:5: bad value 'x' for 'm1'"):
@@ -137,14 +142,39 @@ def test_load_corpus_reads_only_ascii_numbers(tmp_path, cell):
         load_corpus(tmp_path / "manifest.json")
 
 
+# the csv module rejects a field longer than 131,072 characters; numpy reads it
+HUGE = "1" * 200_000
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"date,m{HUGE}\n2019-01-01,1\n", 1),
+    (f"date,m1\n2019-01-01,1\n2019-01-02,{HUGE}\n", 3),
+    (f'date,m1\n2019-01-01,"1"\n2019-01-02,"{HUGE}"\n', 3),
+], ids=["header", "plain-row", "quoted-row"])
+def test_load_corpus_names_the_line_of_an_oversized_field(tmp_path, text, line):
+    (tmp_path / "a.csv").write_text(text)
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=rf"a\.csv:{line}: field larger than field limit"):
+        load_corpus(tmp_path / "manifest.json")
+
+
+def test_load_corpus_names_the_line_of_a_nul_byte(tmp_path):
+    # Python 3.10's csv module stops at a NUL; later versions read it as a character
+    (tmp_path / "a.csv").write_text("date,m1\n2019-01-01,1\n2019-01-02,1\x00\n")
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=r"a\.csv:3: "):
+        load_corpus(tmp_path / "manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # dedupe
 # ---------------------------------------------------------------------------
 
 def test_dedupe_keeps_first_occurrence(day):
-    series = MetricSeries.from_points("m", Category.MACRO,
-                                      [(day(0), 1.0), (day(0), 2.0), (day(1), 3.0)])
-    assert dedupe(series).points == [(day(0), 1.0), (day(1), 3.0)]
+    series = MetricSeries("m", Category.MACRO, [day(0), day(0), day(1)], [1.0, 2.0, 3.0])
+    out = dedupe(series)
+    assert out.dates.tolist() == [day(0), day(1)]
+    assert out.values.tolist() == [1.0, 3.0]
 
 
 def test_dedupe_identity_on_unique(make_series):
@@ -154,27 +184,30 @@ def test_dedupe_identity_on_unique(make_series):
 
 def test_dedupe_known_duplicate_count(day):
     # 1000 points over 900 distinct days: the first 100 days appear twice
-    points = []
+    dates, values = [], []
     for i in range(900):
-        points.append((day(i), float(i)))
+        dates.append(day(i))
+        values.append(float(i))
         if i < 100:
-            points.append((day(i), float(i) + 0.5))
-    series = MetricSeries.from_points("m", Category.MACRO, points)
-    out = dedupe(series)
-    assert len(out.dates) == 900
-    assert all(v == float(i) for i, (_, v) in enumerate(out.points))
+            dates.append(day(i))
+            values.append(float(i) + 0.5)
+    out = dedupe(MetricSeries("m", Category.MACRO, dates, values))
+    assert out.dates.tolist() == [day(i) for i in range(900)]
+    assert out.values.tolist() == [float(i) for i in range(900)]
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.floats(-100, 100)), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_dedupe_idempotent(pairs):
     base = date(2019, 1, 1)
-    points = [(base + timedelta(days=off), v) for off, v in sorted(pairs, key=lambda p: p[0])]
-    series = MetricSeries.from_points("m", Category.MACRO, points)
+    pairs = sorted(pairs, key=lambda p: p[0])
+    series = MetricSeries("m", Category.MACRO, [base + timedelta(days=off) for off, _ in pairs],
+                          [v for _, v in pairs])
     once = dedupe(series)
     twice = dedupe(once)
-    assert once.points == twice.points
-    assert len(set(once.dates)) == len(once.dates)
+    assert once.dates.tolist() == twice.dates.tolist()
+    assert once.values.tolist() == twice.values.tolist()
+    assert len(set(once.dates.tolist())) == len(once.dates)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +226,10 @@ def test_interpolate_no_gaps_unchanged():
 def test_interpolate_three_day_gap_linear(day):
     # days 0 and 4 observed with values 0 and 4: cleaning expands the calendar
     # to five days and the closed form gives 1, 2, 3 in between
-    raw = {"m": MetricSeries.from_points("m", Category.MACRO, [(day(0), 0.0), (day(4), 4.0)])}
+    raw = {"m": MetricSeries("m", Category.MACRO, [day(0), day(4)], [0.0, 4.0])}
     cleaned, drop_log, _ = clean_corpus(raw, missing_ratio_max=1.0)
     assert drop_log == []
-    assert cleaned.dates == tuple(day(i) for i in range(5))
+    assert cleaned.dates.tolist() == [day(i) for i in range(5)]
     assert cleaned.features["m"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
@@ -275,13 +308,14 @@ def _cleaned_corpus(series_list):
 
 def test_slice_period_excludes_late_start():
     start, usdc_start, end = date(2016, 1, 1), date(2018, 6, 1), date(2020, 6, 1)
-    early = MetricSeries.from_points(
-        "btc_metric", Category.ONCHAIN_BTC,
-        [(start + timedelta(days=i), float(i % 17)) for i in range((end - start).days + 1)])
-    late = MetricSeries.from_points(
+    n_early, n_late = (end - start).days + 1, (end - usdc_start).days + 1
+    early = MetricSeries(
+        "btc_metric", Category.ONCHAIN_BTC, [start + timedelta(days=i) for i in range(n_early)],
+        [float(i % 17) for i in range(n_early)])
+    late = MetricSeries(
         "usdc_metric", Category.ONCHAIN_USDC,
-        [(usdc_start + timedelta(days=i), float(i % 13))
-         for i in range((end - usdc_start).days + 1)])
+        [usdc_start + timedelta(days=i) for i in range(n_late)],
+        [float(i % 13) for i in range(n_late)])
     corpus = _cleaned_corpus([early, late])
 
     set_2017 = slice_period(corpus, Scenario(date(2017, 1, 1), 7))
@@ -317,9 +351,8 @@ def test_slice_period_late_start_column_count():
             first = start
             n = n_days
         values = rng.normal(size=n).cumsum() + 100
-        series.append(MetricSeries.from_points(
-            f"m{j:03d}", Category.MACRO,
-            [(first + timedelta(days=i), values[i]) for i in range(n)]))
+        series.append(MetricSeries(
+            f"m{j:03d}", Category.MACRO, [first + timedelta(days=i) for i in range(n)], values))
     corpus = _cleaned_corpus(series)
     set_2017 = slice_period(corpus, Scenario(date(2017, 1, 1), 1))
     set_2019 = slice_period(corpus, Scenario(date(2019, 1, 1), 1))
@@ -343,7 +376,7 @@ def test_slice_period_keeps_exactly_the_columns_complete_from_the_start(day):
         complete = {name for name, col in corpus.features.items()
                     if not np.isnan(col[start:]).any()}
         assert set(ds.feature_names) == complete
-        assert ds.dates == corpus.dates[start:]
+        assert np.array_equal(ds.dates, corpus.dates[start:])
         for name in complete:
             assert np.array_equal(ds.features[name], corpus.features[name][start:])
     kept = {start: set(slice_period(corpus, Scenario(day(start), 1)).feature_names)
@@ -465,18 +498,15 @@ def test_dataset_column_order_is_canonical(day):
 
 def test_clean_corpus_forward_fills_trad_index(day):
     # weekday-only index: weekend gaps forward-filled, not interpolated
-    points = []
-    for i in range(30):
-        d = day(i)
-        if d.weekday() < 5:
-            points.append((d, float(100 + i)))
-    raw = {"QQQ_Close": MetricSeries.from_points("QQQ_Close", Category.TRADITIONAL_INDEX, points)}
+    weekdays = [i for i in range(30) if day(i).weekday() < 5]
+    raw = {"QQQ_Close": MetricSeries("QQQ_Close", Category.TRADITIONAL_INDEX,
+                                     [day(i) for i in weekdays], [float(100 + i) for i in weekdays])}
     cleaned, drop_log, imputed = clean_corpus(raw)
     assert drop_log == []
     assert imputed.get("QQQ_Close", 0) > 0
-    by_date = dict(zip(cleaned.dates, cleaned.features["QQQ_Close"]))
+    by_date = dict(zip(cleaned.dates.tolist(), cleaned.features["QQQ_Close"]))
     # first Saturday carries Friday's value
-    saturday = next(d for d in cleaned.dates if d.weekday() == 5)
+    saturday = next(d for d in cleaned.dates.tolist() if d.weekday() == 5)
     friday = saturday - timedelta(days=1)
     assert by_date[saturday] == by_date[friday]
 
@@ -485,13 +515,14 @@ def test_clean_corpus_forward_fills_trad_index_only_inside_its_span(day):
     # a weekday-only index whose first and last dates hold no value, inside
     # a longer daily macro series: the corpus calendar pads the index with
     # NaN on both sides, and the fill must not reach into that padding
-    points = [(day(i), float(100 + i % 9)) for i in range(10, 50) if day(i).weekday() < 5]
-    points = [(day(8), None)] + points + [(day(52), None)]
-    index = MetricSeries.from_points("QQQ_Close", Category.TRADITIONAL_INDEX, points)
-    macro = MetricSeries.from_points("m", Category.MACRO,
-                                     [(day(i), float(i % 7)) for i in range(60)])
+    weekdays = [i for i in range(10, 50) if day(i).weekday() < 5]
+    index = MetricSeries("QQQ_Close", Category.TRADITIONAL_INDEX,
+                         [day(8)] + [day(i) for i in weekdays] + [day(52)],
+                         [np.nan] + [float(100 + i % 9) for i in weekdays] + [np.nan])
+    macro = MetricSeries("m", Category.MACRO, [day(i) for i in range(60)],
+                         [float(i % 7) for i in range(60)])
     cleaned, drop_log, imputed = clean_corpus({"QQQ_Close": index, "m": macro})
-    assert drop_log == [] and cleaned.dates == tuple(day(i) for i in range(60))
+    assert drop_log == [] and cleaned.dates.tolist() == [day(i) for i in range(60)]
     col = cleaned.features["QQQ_Close"]
     observed = np.flatnonzero(~np.isnan(col))
     assert (observed[0], observed[-1]) == (10, 49)   # both weekdays

@@ -222,6 +222,24 @@ def test_load_mcap_csv_reads_one_date_and_number_syntax(tmp_path, row):
         load_mcap_csv(path)
 
 
+# the csv module rejects a field longer than 131,072 characters; numpy reads it
+HUGE = "1" * 200_000
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"date,asset,market_cap_usd{HUGE}\n2020-01-01,BTC,1e9\n", 1),
+    (f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-02,BTC,{HUGE}\n", 3),
+    (f'date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-02,"B{HUGE}",1e9\n', 3),
+], ids=["header", "plain-row", "quoted-row"])
+def test_load_mcap_csv_names_the_line_of_an_oversized_field(tmp_path, text, line):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"caps\.csv:{line}: field larger than field limit"):
+        load_mcap_csv(path)
+
+
 @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
 def test_snapshot_rejects_non_finite_cap(cap):
     with pytest.raises(ValueError, match="non-finite market cap"):

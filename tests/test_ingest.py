@@ -87,7 +87,7 @@ def test_metric_csv_matches_row_by_row_oracle(tmp_path, case):
         return
     series, (dates, table) = got[1], want[1]
     assert [s.name for s in series] == metrics
-    assert all(s.dates == dates for s in series)
+    assert all(s.dates.tolist() == list(dates) for s in series)
     assert bits(np.column_stack([s.values for s in series])) == bits(table)
 
 
@@ -112,7 +112,7 @@ def test_metric_csv_matches_oracle_on_layouts(tmp_path, text):
     if got[0] == "error":
         assert got[1] == want[1]
     else:
-        assert got[1][0].dates == want[1][0]
+        assert got[1][0].dates.tolist() == list(want[1][0])
         assert bits(np.column_stack([s.values for s in got[1]])) == bits(want[1][1])
 
 
