@@ -492,17 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="output_dir")
-        p.add_argument("--periods")
-        p.add_argument("--windows")
-        p.add_argument("--target-features", type=int, dest="target_count")
-        p.add_argument("--corr-start", type=float)
-        p.add_argument("--corr-step", type=float)
-        p.add_argument("--top-k", type=int, dest="top_k_union")
         p.add_argument("--power", type=int)
         p.add_argument("--holdout", type=float, dest="holdout_fraction")
 
     p_run = sub.add_parser("run", help="run every scenario cell and write artifacts")
     add_common(p_run)
+    p_run.add_argument("--periods")
+    p_run.add_argument("--windows")
     p_run.add_argument("--jobs", type=int, help="worker processes for the cells")
     p_run.set_defaults(func=cmd_run)
 
@@ -511,6 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fra.add_argument("--period", required=True, help="period start YYYY-MM-DD")
     p_fra.add_argument("--window", required=True, type=int)
     p_fra.set_defaults(func=cmd_fra)
+    for p in (p_run, p_fra):  # each subcommand takes only the flags it reads
+        p.add_argument("--target-features", type=int, dest="target_count")
+        p.add_argument("--corr-start", type=float)
+        p.add_argument("--corr-step", type=float)
+        p.add_argument("--top-k", type=int, dest="top_k_union")
 
     p_imp = sub.add_parser("importance", help="one importance report for one cell")
     add_common(p_imp)

@@ -241,6 +241,9 @@ def _parse_body(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     plain = body.replace("\r\n", "\n")
     if plain.isascii() and not any(c in plain for c in _NOT_PLAIN):
         lines = plain.split("\n")
+        limit = csv.field_size_limit()  # the row scan names the line of a longer cell
+        if max(map(len, lines)) > limit and max(map(len, ",".join(lines).split(","))) > limit:
+            return None
     else:  # quotes, bare CRs or whitespace: csv cuts the records and cells, then strip
         lines = []
         try:

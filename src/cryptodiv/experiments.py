@@ -18,8 +18,8 @@ import numpy as np
 from ._syntax import parse_day
 from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
 from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
-                  fit_full_forest, fra_reduce)
-from .importance import ImportanceReport, mdi, pearson_report, pfi, shapley_sampled
+                  fit_full_forest, fra_reduce, rf_pfi)
+from .importance import ImportanceReport, mdi, pearson_report, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
 
@@ -179,23 +179,24 @@ def unique_top_k(group_a: HorizonGroup, group_b: HorizonGroup, k: int = 20
     return ranked[:k]
 
 
-ModelFactory = Callable[[np.ndarray, np.ndarray, Sequence[str]], TreeEnsemble]
-
-
-def improvement(model_factory: ModelFactory, train: Dataset, test: Dataset,
-                diverse: TreeEnsemble,
-                category_partitions: Mapping[Category, Sequence[str]]) -> ImprovementResult:
+def improvement(params: EnsembleParams, seed: int, train: Dataset, test: Dataset,
+                final_features: Sequence[str],
+                category_partitions: Mapping[Category, Sequence[str]]
+                ) -> tuple[ImprovementResult, TreeEnsemble]:
     """MSE percentage decrease of the diverse vector over each category arm.
 
-    Every arm trains with the same factory (hence identical hyperparameters
-    and seed) on `train` and is scored on `test`; only the feature subset
-    differs. The caller trains the diverse arm, on the sorted final vector.
+    Every arm is a forest fitted with `params` and `seed` on the sorted
+    features of its subset of `train`, and scored on `test`; only the subset
+    differs. The diverse arm's subset is the final vector, and its forest is
+    returned with the result.
     improvement = (MSE_category - MSE_diverse) / MSE_diverse * 100.
     """
-    def arm_mse(model: TreeEnsemble) -> float:
-        return mse(test.target, model.predict(test.matrix(list(model.feature_names))))
+    def arm(features: Sequence[str]) -> tuple[TreeEnsemble, float]:
+        feats = sorted(features)
+        model = fit_forest(train.matrix(feats), train.target, params, seed, feature_names=feats)
+        return model, mse(test.target, model.predict(test.matrix(feats)))
 
-    mse_diverse = arm_mse(diverse)
+    diverse, mse_diverse = arm(final_features)
     if mse_diverse == 0.0:
         raise ValueError("diverse-arm MSE is exactly 0; target leaks into the features")
     mse_by_category: dict[Category, float] = {}
@@ -204,13 +205,12 @@ def improvement(model_factory: ModelFactory, train: Dataset, test: Dataset,
         features = category_partitions[cat]
         if not features:
             raise ValueError(f"category {cat.value} has an empty feature partition")
-        feats = sorted(features)
-        m = arm_mse(model_factory(train.matrix(feats), train.target, feats))
+        _, m = arm(features)
         mse_by_category[cat] = m
         improvement_by_category[cat] = (m - mse_diverse) / mse_diverse * 100.0
     mean_improvement = float(np.mean(list(improvement_by_category.values())))
     return ImprovementResult(mse_diverse, mse_by_category, improvement_by_category,
-                             mean_improvement)
+                             mean_improvement), diverse
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +272,8 @@ def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
     if method == "shapley":
         return _shapley_ranking(model, train, config.shapley, scenario_seed(config.seed, scenario),
                                 jobs=jobs)
-    # round 1's rf_pfi: the same forest permuted under the same key
-    return pfi(model, train.matrix(), train.target, repeats=config.fra.pfi_repeats,
-               seed=derive_seed(fra_seed, "fra", "rf_pfi", 1), jobs=jobs)
+    return rf_pfi(model, train.matrix(), train.target, config.fra.pfi_repeats, fra_seed, 1,
+                  jobs=jobs)
 
 
 def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:
@@ -293,23 +292,10 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     train, test = stage("prepare", cell_blocks, corpus, scenario, config)
     fra_result: ReducedFeatureSet = stage("fra", cell_fra, train, scenario, config)
 
-    rf_params = fra_result.rf_params
-    forest = fra_result.full_forest
-    if forest is None:
-        forest = stage("shapley", fit_full_forest, train, rf_params, _fra_seed(scenario, config))
-    shap_report = stage("shapley", _shapley_ranking, forest, train, config.shapley, seed)
+    shap_report = stage("shapley", _shapley_ranking, fra_result.full_forest, train,
+                        config.shapley, seed)
     fv: FinalVector = stage("final_vector", final_vector, fra_result, shap_report,
                             config.fra.top_k_union)
-
-    # the final forest is the diverse improvement arm, and rf_importance is its MDI
-    improvement_seed = derive_seed(seed, "improvement")
-
-    def factory(X, y, feats):
-        return fit_forest(X, y, rf_params, improvement_seed, feature_names=feats)
-
-    final = sorted(fv.features)
-    rf_final = stage("importance", factory, train.matrix(final), train.target, final)
-    rf_importance = stage("importance", mdi, rf_final).scores
 
     partitions: dict[Category, list[str]] = {}
     for f, cat in train.categories.items():
@@ -317,8 +303,11 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     candidate_counts = {cat: len(features) for cat, features in partitions.items()}
     factors = stage("contribution", contribution_factors, fv.features,
                     train.categories, candidate_counts)
-    improvement_result = stage("improvement", improvement, factory, train, test,
-                               rf_final, partitions)
+    # the final forest is the diverse improvement arm, and rf_importance is its MDI
+    improvement_result, rf_final = stage("improvement", improvement, fra_result.rf_params,
+                                         derive_seed(seed, "improvement"), train, test,
+                                         fv.features, partitions)
+    rf_importance = stage("importance", mdi, rf_final).scores
 
     return ScenarioResult(
         scenario=scenario,
@@ -328,7 +317,7 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
         contribution_factors=factors,
         rf_importance=rf_importance,
         model_summary={
-            "rf": _params_summary(rf_params),
+            "rf": _params_summary(fra_result.rf_params),
             "gbt": _params_summary(fra_result.gbt_params),
             "final_rf_trees": rf_final.n_trees,
             "final_rf_max_depth": rf_final.nodes.max_depth(),

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .data import Dataset
 from .importance import ImportanceReport, mdi, pearson_abs, pfi
 from .models import (EnsembleParams, ModelKind, TreeEnsemble, default_gbt_grid,
@@ -72,13 +74,13 @@ class IterationRecord:
 
 @dataclass
 class ReducedFeatureSet:
-    survivors: list[str]            # by ascending mean rank at the last round; by name if none ran
+    survivors: list[str]            # by ascending mean rank at the last round evaluated
     original: list[str]
     iterations: list[IterationRecord]
     forced_stop: bool               # max_iterations hit before reaching target_count
     rf_params: EnsembleParams
     gbt_params: EnsembleParams
-    full_forest: TreeEnsemble | None = None   # round 1's forest on every feature, if it ran
+    full_forest: TreeEnsemble       # round 1's forest on every feature
 
     @property
     def removed(self) -> list[str]:
@@ -129,13 +131,18 @@ def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleP
     return {
         "rf_mdi": mdi(rf),
         "gbt_mdi": mdi(gbt),
-        "rf_pfi": pfi(rf, X, y, repeats=pfi_repeats,
-                      seed=derive_seed(seed, "fra", "rf_pfi", round_key),
-                      feature_names=features),
+        "rf_pfi": rf_pfi(rf, X, y, pfi_repeats, seed, round_key),
         "gbt_pfi": pfi(gbt, X, y, repeats=pfi_repeats,
                        seed=derive_seed(seed, "fra", "gbt_pfi", round_key),
                        feature_names=features),
     }, rf
+
+
+def rf_pfi(rf: TreeEnsemble, X: np.ndarray, y: np.ndarray, pfi_repeats: int, seed: int,
+           round_key: int, jobs: int = 1) -> ImportanceReport:
+    """A round's random-forest PFI: its forest permuted under the round's key."""
+    return pfi(rf, X, y, repeats=pfi_repeats, seed=derive_seed(seed, "fra", "rf_pfi", round_key),
+               jobs=jobs)
 
 
 def fit_full_forest(dataset: Dataset, rf_params: EnsembleParams, seed: int,
@@ -153,7 +160,9 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
     round's threshold. If a round removes nothing while the threshold has
     grown past 1.0 (making the correlation clause vacuous), the single
     feature with the worst mean rank is removed so the loop always
-    progresses; hitting max_iterations stops the run with a flag.
+    progresses; hitting max_iterations stops the run with a flag. Round 1
+    is evaluated whatever the candidate count, so the survivors are always
+    ranked and round 1's forest is always fitted.
     """
     if dataset.target is None:
         raise ValueError("dataset has no target column; apply make_target first")
@@ -168,16 +177,14 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
     current = list(original)
     records: list[IterationRecord] = []
     threshold = config.corr_start
-    last_reports: dict[str, ImportanceReport] | None = None
-    full_forest = None
+    reports, full_forest = evaluate_methods(dataset, current, rf_params, gbt_params,
+                                            config.pfi_repeats, config.seed, round_key=1)
 
     while len(current) > config.target_count and len(records) < config.max_iterations:
         iteration = len(records) + 1
-        reports, rf = evaluate_methods(dataset, current, rf_params, gbt_params,
-                                       config.pfi_repeats, config.seed, round_key=iteration)
-        last_reports = reports
-        if full_forest is None:
-            full_forest = rf
+        if iteration > 1:
+            reports, _ = evaluate_methods(dataset, current, rf_params, gbt_params,
+                                          config.pfi_repeats, config.seed, round_key=iteration)
         in_all_bottoms = set.intersection(*(bottom_half(r) for r in reports.values()))
         removal = sorted(f for f in in_all_bottoms if correlation[f] < threshold)
         forced = False
@@ -194,11 +201,8 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
         threshold += config.corr_step
 
     forced_stop = len(current) > config.target_count
-    if last_reports is not None:
-        mean_rank = _mean_ranks(list(last_reports["rf_mdi"].scores), last_reports)
-        survivors = sorted(current, key=lambda f: (mean_rank[f], f))
-    else:
-        survivors = list(current)
+    mean_rank = _mean_ranks(list(reports["rf_mdi"].scores), reports)
+    survivors = sorted(current, key=lambda f: (mean_rank[f], f))
     return ReducedFeatureSet(survivors=survivors, original=original, iterations=records,
                              forced_stop=forced_stop, rf_params=rf_params,
                              gbt_params=gbt_params, full_forest=full_forest)

@@ -9,6 +9,7 @@ log-ratio between the candidate index and the reference.
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 import sys
@@ -183,7 +184,8 @@ def _read_caps_in_bulk(path: Path) -> dict[date, dict[str, float]] | None:
         _caps_rows(fh, path)
         while chunk := fh.readlines(_CHUNK_CHARS):
             text = "".join(chunk)
-            if '"' in text:
+            # the row reader reads csv quoting, and names the line of a cell csv cannot read
+            if '"' in text or max(map(len, chunk)) > csv.field_size_limit():
                 return None
             if not text.strip():
                 continue

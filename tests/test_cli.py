@@ -488,6 +488,22 @@ def test_fra_command_rejects_jobs(tmp_path, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("fra", "--periods", "2019-01-01"), ("fra", "--windows", "7"),
+    ("importance", "--periods", "2019-01-01"), ("importance", "--windows", "7"),
+    ("importance", "--target-features", "8"), ("importance", "--corr-start", "0.5"),
+    ("importance", "--corr-step", "0.1"), ("importance", "--top-k", "8"),
+])
+def test_subcommand_rejects_a_flag_it_never_reads(tmp_path, capsys, command, flag, value):
+    config, _, _ = small_setup(tmp_path)
+    cell = ["--period", "2019-01-01", "--window", "7"]
+    method = ["--method", "pearson"] if command == "importance" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(config), *cell, *method, flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 TINY_RF = {"n_estimators": 4, "max_depth": 3, "features_per_split": 1 / 3}
 
 
@@ -572,8 +588,22 @@ def test_importance_command_writes_report(tmp_path):
         assert all(line.endswith(f",{method}") for line in lines[1:])
 
 
-def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch):
+def without_fra_rounds(config):
+    """Raise fra.target_count above the candidate count, so that FRA removes nothing."""
+    doc = json.loads(config.read_text())
+    doc["fra"]["target_count"] = 1000
+    config.write_text(json.dumps(doc))
+
+
+# a cell with no more candidates than fra.target_count still evaluates round 1
+ROUNDS = pytest.mark.parametrize("no_round", [False, True], ids=["fra-rounds", "no-fra-round"])
+
+
+@ROUNDS
+def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch, no_round):
     config, out_dir, _ = small_setup(tmp_path, seed=3)
+    if no_round:
+        without_fra_rounds(config)
     by_cell = {}
     original = experiments.fra_reduce
 
@@ -587,7 +617,9 @@ def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch):
     assert len(by_cell) == 4
     assert main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"]) == 0
     audit = (out_dir / "fra" / "2019_7_audit.json").read_text()
-    assert audit == fra.audit_json(by_cell[(date(2019, 1, 1), 7)])
+    result = by_cell[(date(2019, 1, 1), 7)]
+    assert (result.iterations == []) == no_round
+    assert audit == fra.audit_json(result)
 
 
 def test_importance_shapley_writes_the_shapley_report_of_run(tmp_path, monkeypatch):
@@ -621,7 +653,7 @@ def test_importance_shapley_writes_the_shapley_report_of_a_run_without_fra_round
         return result
 
     monkeypatch.setattr(experiments, "shapley_sampled", capturing)
-    # at least as many target features as candidates: FRA runs no round
+    # at least as many target features as candidates: FRA removes nothing
     no_round = ["--target-features", "1000"]
     cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
     assert main(["run", "--config", str(config), *cell, *no_round]) == 0
@@ -629,12 +661,15 @@ def test_importance_shapley_writes_the_shapley_report_of_a_run_without_fra_round
     assert stored["fra"]["iterations"] == 0
     assert len(reports) == 1
     out = tmp_path / "shapley.csv"
-    assert main([*importance_args(config, "shapley", out, 1), *no_round]) == 0
+    assert main(importance_args(config, "shapley", out, 1)) == 0
     assert out.read_text() == reports[0].to_csv()
 
 
-def test_importance_mdi_writes_the_round_one_rf_mdi_of_run(tmp_path, monkeypatch):
+@ROUNDS
+def test_importance_mdi_writes_the_round_one_rf_mdi_of_run(tmp_path, monkeypatch, no_round):
     config = tiny_importance_setup(tmp_path)
+    if no_round:
+        without_fra_rounds(config)
     rounds = []
     original = fra.evaluate_methods
 
@@ -652,8 +687,11 @@ def test_importance_mdi_writes_the_round_one_rf_mdi_of_run(tmp_path, monkeypatch
     assert out.read_text() == rounds[0]["rf_mdi"].to_csv()
 
 
-def test_importance_pfi_writes_the_round_one_rf_pfi_of_run(tmp_path, monkeypatch):
+@ROUNDS
+def test_importance_pfi_writes_the_round_one_rf_pfi_of_run(tmp_path, monkeypatch, no_round):
     config = tiny_importance_setup(tmp_path)
+    if no_round:
+        without_fra_rounds(config)
     rounds = []
     original = fra.evaluate_methods
 

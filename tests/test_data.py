@@ -144,13 +144,15 @@ def test_load_corpus_reads_only_ascii_numbers(tmp_path, cell):
 
 # the csv module rejects a field longer than 131,072 characters; numpy reads it
 HUGE = "1" * 200_000
+HUGE_FINITE = "0." + "0" * 199_990 + "1"   # numpy reads it as 0.0
 
 
 @pytest.mark.parametrize("text, line", [
     (f"date,m{HUGE}\n2019-01-01,1\n", 1),
     (f"date,m1\n2019-01-01,1\n2019-01-02,{HUGE}\n", 3),
+    (f"date,m1\n2019-01-01,1\n2019-01-02,{HUGE_FINITE}\n", 3),
     (f'date,m1\n2019-01-01,"1"\n2019-01-02,"{HUGE}"\n', 3),
-], ids=["header", "plain-row", "quoted-row"])
+], ids=["header", "plain-row", "plain-finite-row", "quoted-row"])
 def test_load_corpus_names_the_line_of_an_oversized_field(tmp_path, text, line):
     (tmp_path / "a.csv").write_text(text)
     write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})

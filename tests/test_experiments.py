@@ -152,14 +152,14 @@ def test_improvement_formula_spot_checks():
     # direct arithmetic: category MSE twice the diverse MSE -> 100% improvement
     assert (2.0 - 1.0) / 1.0 * 100.0 == 100.0
     ds = _improvement_fixture()
-
-    def factory(X, y, feats):
-        return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
-
     train, test = chronological_split(ds, 0.2)
-    diverse = factory(train.matrix(["a", "b"]), train.target, ["a", "b"])
-    result = improvement(factory, train, test, diverse,
-                         {Category.ONCHAIN_BTC: ["a"], Category.MACRO: ["b"]})
+    result, diverse = improvement(FAST_RF, 7, train, test, ["b", "a"],
+                                  {Category.ONCHAIN_BTC: ["a"], Category.MACRO: ["b"]})
+    # the diverse arm trains on the sorted final vector, from the arms' one seed
+    assert diverse.feature_names == ("a", "b")
+    X_test = test.matrix(["a", "b"])
+    reference = fit_forest(train.matrix(["a", "b"]), train.target, FAST_RF, 7)
+    assert diverse.predict(X_test).tolist() == reference.predict(X_test).tolist()
     for cat, m in result.mse_by_category.items():
         expected = (m - result.mse_diverse) / result.mse_diverse * 100.0
         assert result.improvement_by_category[cat] == pytest.approx(expected, abs=1e-12)
@@ -179,28 +179,17 @@ def test_improvement_degenerate_leak_rejected():
                  features={"a": np.arange(float(n)), "b": np.ones(n)},
                  categories={"a": Category.MACRO, "b": Category.TECHNICAL},
                  target=np.full(n, 3.0), window=1)
-
-    def factory(X, y, feats):
-        return fit_forest(X, y, EnsembleParams(n_estimators=2, max_depth=3), 0,
-                          feature_names=feats)
-
     train, test = chronological_split(ds, 0.2)
-    diverse = factory(train.matrix(["a", "b"]), train.target, ["a", "b"])
     with pytest.raises(ValueError, match="exactly 0"):
-        improvement(factory, train, test, diverse,
+        improvement(EnsembleParams(n_estimators=2, max_depth=3), 0, train, test, ["a", "b"],
                     {Category.MACRO: ["a"], Category.TECHNICAL: ["b"]})
 
 
 def test_improvement_empty_partition_rejected():
     ds = _improvement_fixture()
-
-    def factory(X, y, feats):
-        return fit_forest(X, y, FAST_RF, 7, feature_names=feats)
-
     train, test = chronological_split(ds, 0.2)
-    diverse = factory(train.matrix(["a"]), train.target, ["a"])
     with pytest.raises(ValueError, match="empty"):
-        improvement(factory, train, test, diverse, {Category.MACRO: []})
+        improvement(FAST_RF, 7, train, test, ["a"], {Category.MACRO: []})
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +268,11 @@ def test_run_scenario_fits_each_forest_once(monkeypatch, target_count):
     result = run_scenario(corpus, scenario, fast_config(seed=5, target_count=target_count))
     rounds = result.fra_iterations
     assert (rounds > 0) == (target_count == 4)
-    # FRA's forests, the final forest, one forest per category arm, and the
-    # full-width forest only when no FRA round fitted it
+    # FRA's forests (round 1's even when it removes nothing, so no iteration
+    # records it), the final forest and one forest per category arm
     categories = len(result.improvement.mse_by_category)
     assert len(fits) == rounds + 1 + categories + (rounds == 0)
-    # the explained forest is the first one fitted: round 1's, or the fallback
+    # the explained forest is the first one fitted: round 1's
     assert len(explained) == 1 and explained[0] is fits[0]
     assert len(explained[0].feature_names) == sum(result.candidate_counts.values())
 

@@ -70,11 +70,46 @@ def test_bottom_half_single_feature_empty():
 # fra_reduce
 # ---------------------------------------------------------------------------
 
-def test_fra_noop_when_at_or_below_target():
+def test_fra_noop_when_at_or_below_target(monkeypatch):
+    import cryptodiv.fra as fra_module
+    rounds = []
+
+    def capturing(*args, _evaluate=fra_module.evaluate_methods, **kwargs):
+        rounds.append(_evaluate(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(fra_module, "evaluate_methods", capturing)
     ds = planted_dataset(0, n=200, n_informative=3, n_noise=3)
     out = fra_reduce(ds, planted_config(0, target_count=10))
-    assert out.survivors == list(ds.feature_names)
     assert out.iterations == [] and not out.forced_stop
+    # round 1 still ranks every candidate, and its forest is the full forest
+    assert len(rounds) == 1
+    reports, forest = rounds[0]
+    assert out.full_forest is forest
+    mean_rank = fra_module._mean_ranks(ds.feature_names, reports)
+    assert out.survivors == sorted(ds.feature_names, key=lambda f: (mean_rank[f], f))
+
+
+def test_fra_ranks_candidates_when_no_round_removes():
+    # three candidates against a target count of 5: the signal column must
+    # lead the survivors, so it leads the FRA half of the final vector
+    rng = np.random.default_rng(0)
+    n = 300
+    target = rng.normal(size=n).cumsum()
+    features = {"aa_noise": rng.normal(size=n), "mm_noise": rng.normal(size=n),
+                "zz_signal": target + 0.01 * target.std() * rng.normal(size=n)}
+    dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(n))
+    ds = Dataset(dates=dates, features=features,
+                 categories={f: Category.MACRO for f in features}, target=target, window=1)
+    config = FraConfig(target_count=5, top_k_union=2, rf_params=RF_PARAMS,
+                       gbt_params=GBT_PARAMS, pfi_repeats=1, seed=0)
+    out = fra_reduce(ds, config)
+    assert out.iterations == [] and not out.forced_stop
+    assert out.survivors[0] == "zz_signal"
+    assert sorted(out.survivors) == ["aa_noise", "mm_noise", "zz_signal"]
+    assert out.full_forest.feature_names == ("aa_noise", "mm_noise", "zz_signal")
+    shap = ImportanceReport("shapley", {"aa_noise": 3.0, "mm_noise": 2.0, "zz_signal": 1.0})
+    assert final_vector(out, shap, config.top_k_union).features[0] == "zz_signal"
 
 
 def test_fra_planted_relevance_small():
@@ -249,9 +284,11 @@ def test_fra_config_validation():
 # ---------------------------------------------------------------------------
 
 def fra_result_with(survivors):
+    # final_vector reads only the survivors, so no forest is fitted
     return ReducedFeatureSet(survivors=list(survivors), original=list(survivors),
                              iterations=[], forced_stop=False,
-                             rf_params=DEFAULT_RF_PARAMS, gbt_params=DEFAULT_GBT_PARAMS)
+                             rf_params=DEFAULT_RF_PARAMS, gbt_params=DEFAULT_GBT_PARAMS,
+                             full_forest=None)
 
 
 def test_final_vector_identical_rankings():

@@ -224,13 +224,15 @@ def test_load_mcap_csv_reads_one_date_and_number_syntax(tmp_path, row):
 
 # the csv module rejects a field longer than 131,072 characters; numpy reads it
 HUGE = "1" * 200_000
+HUGE_FINITE = "0." + "0" * 199_990 + "1"   # numpy reads it as 0.0
 
 
 @pytest.mark.parametrize("text, line", [
     (f"date,asset,market_cap_usd{HUGE}\n2020-01-01,BTC,1e9\n", 1),
     (f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-02,BTC,{HUGE}\n", 3),
+    (f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-02,BTC,{HUGE_FINITE}\n", 3),
     (f'date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-02,"B{HUGE}",1e9\n', 3),
-], ids=["header", "plain-row", "quoted-row"])
+], ids=["header", "plain-row", "plain-finite-row", "quoted-row"])
 def test_load_mcap_csv_names_the_line_of_an_oversized_field(tmp_path, text, line):
     from cryptodiv.index import load_mcap_csv
 
