@@ -50,11 +50,11 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"pearson needs equal-length 1-D arrays of >= 2, got {x.shape} vs {y.shape}")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
+    sx = math.sqrt(float(np.sum(xc * xc)))
+    sy = math.sqrt(float(np.sum(yc * yc)))
     if sx == 0.0 or sy == 0.0:
         raise ConstantColumnError("correlation undefined for a constant column")
-    r = float(xc @ yc) / (sx * sy)
+    r = float(np.sum(xc * yc)) / (sx * sy)
     return max(-1.0, min(1.0, r))
 
 

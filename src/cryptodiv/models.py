@@ -322,7 +322,7 @@ def _grow(X: np.ndarray, y: np.ndarray, columns: tuple[np.ndarray, np.ndarray],
     y_node = y[members]
     mean = float(y_node.mean())
     centered = y_node - mean
-    sse = float(centered @ centered)
+    sse = float(np.sum(centered * centered))
     leaf = len(rows)
     row = [-1, 0.0, leaf, leaf, mean, n, sse / n]
     rows.append(row)

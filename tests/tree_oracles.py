@@ -31,7 +31,7 @@ def grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
     y_node = y[sorted_idx[:, 0]]
     mean = float(y_node.mean())
     centered = y_node - mean
-    sse = float(centered @ centered)
+    sse = float(np.sum(centered * centered))
     leaf = len(rows)
     row = [-1, 0.0, leaf, leaf, mean, n, sse / n]
     rows.append(row)
