@@ -1,11 +1,11 @@
 """Regression tree ensembles: random forest and least-squares gradient boosting.
 
-Trees are grown greedily by variance reduction with midpoint thresholds,
-straight into a preorder node table; an ensemble keeps all of its trees in
-one such table. Per-node sample counts and impurities are kept so
-impurity-based importance can be computed later. All randomness (bootstrap
-draws, per-node feature subsets) comes from substreams keyed by (seed, tree
-index), so a fit is fully determined by (data, params, seed).
+A fit sorts each column of X once, stably, and every tree grows from that sort
+on its own rows; a bootstrap row drawn k times counts k times. Trees split by
+variance reduction at midpoint thresholds into one preorder node table per
+ensemble, which keeps node sample counts and impurities for importance. All
+randomness comes from substreams keyed by (seed, tree index), and no sum goes
+through BLAS, so (data, params, seed) fixes a fit's bits on every CPU.
 """
 
 from __future__ import annotations
@@ -351,24 +351,26 @@ def _grow(X: np.ndarray, y: np.ndarray, columns: tuple[np.ndarray, np.ndarray],
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.random.Generator,
-             _columns: tuple[np.ndarray, np.ndarray] | None = None) -> _NodeTable:
+             _columns: tuple[np.ndarray, np.ndarray] | None = None,
+             _rows: np.ndarray | None = None) -> _NodeTable:
     """Grow one CART regression tree; rng drives per-node feature subsets.
 
-    _columns, if given, is _sort_columns(X), for callers that fit many trees
-    on the same X.
+    _columns, if given, is _sort_columns(X), shared by the trees of one fit.
+    _rows, if given, are the rows to grow on: a row listed k times counts k times.
     """
     X, y = _check_xy(X, y)
     m = _resolve_features_per_split(params.features_per_split, X.shape[1])
-    columns = _sort_columns(X) if _columns is None else _columns
+    order, rank = _sort_columns(X) if _columns is None else _columns
+    root = order[0] if _rows is None else order[0, np.sort(rank[0, _rows])]
     rows: list[list] = []
-    # the root holds every row, in the order of feature 0
-    _grow(X, y, columns, columns[0][0], 0, params, rng, m, rows)
+    _grow(X, y, (order, rank), root, 0, params, rng, m, rows)
     return _NodeTable.from_rows(rows)
 
 
 def _sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank): order[f] is the rows sorted by column f, rank[f, r] row r's place in it."""
-    order = np.argsort(X.T, axis=1)     # intp: _grow's flat indices into X cannot overflow
+    # stable: every CPU breaks ties by row index; intp: _grow's flat indices cannot overflow
+    order = np.argsort(X.T, axis=1, kind="stable")
     rank = np.empty(order.shape, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(len(X), dtype=np.int32), axis=1)
     return order, rank
@@ -378,20 +380,18 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: EnsembleParams, seed: int,
                feature_names: Sequence[str] | None = None, jobs: int = 1) -> TreeEnsemble:
     """Random forest: trees on bootstrap resamples, prediction = tree mean.
 
-    jobs > 1 grows the trees in that many forked processes. Each tree draws
-    from its own substream, so the forest is the same for every jobs value.
+    Every tree grows from one sort of X. jobs > 1 grows them in that many forked processes;
+    each draws from its own substream, so the forest is the same for every jobs value.
     """
     X, y = _check_xy(X, y)
     if params.kind is not ModelKind.RANDOM_FOREST:
         params = replace(params, kind=ModelKind.RANDOM_FOREST)
-    n = len(y)
+    columns = _sort_columns(X)
 
     def grow(i: int) -> _NodeTable:
         rng = substream(seed, "tree", i)
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-            return fit_tree(X[rows], y[rows], params, rng)
-        return fit_tree(X, y, params, rng)
+        rows = rng.integers(0, len(y), size=len(y)) if params.bootstrap else None
+        return fit_tree(X, y, params, rng, _columns=columns, _rows=rows)
 
     trees = fork_map(grow, range(params.n_estimators), jobs)
     return TreeEnsemble(

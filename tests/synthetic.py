@@ -57,13 +57,14 @@ def _walk(rng, n, scale=1.0):
 
 def write_corpus(out_dir, seed=0, n_days=2000, start=date(2016, 9, 1),
                  counts=None, late_start_count=10, late_start=date(2018, 3, 1),
-                 degenerate=True, index_name="crypto-index"):
+                 degenerate=True, index_name="crypto-index", digits=6):
     """Write a multi-category CSV corpus plus manifest; returns the manifest path.
 
     Metric mix: stationary signals and random walks per category, weekday-only
     traditional indices, optional late-start stablecoin metrics, one flat and
     one gappy column to exercise the drop log, three market source series,
-    and a target index driven by a handful of planted features.
+    and a target index driven by a handful of planted features. Every value
+    is written with `digits` significant digits.
     """
     rng = np.random.default_rng(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -76,7 +77,7 @@ def write_corpus(out_dir, seed=0, n_days=2000, start=date(2016, 9, 1),
     planted = []
 
     def fmt(v):
-        return "%.6g" % v
+        return "%.*g" % (digits, v)
 
     def write_file(name, columns, tags, rows_mask=None, missing=None):
         """columns: dict metric -> values; missing: dict metric -> bool mask."""

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import platform
 import shutil
+import subprocess
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -18,11 +20,11 @@ SMALL_COUNTS = {"macro": 4, "technical": 3, "sentiment": 3, "trad_index": 3,
                 "onchain_btc": 4, "onchain_usdc": 4}
 
 
-def small_setup(tmp_path, seed=0):
+def small_setup(tmp_path, seed=0, digits=6):
     corpus_dir = tmp_path / "corpus"
     manifest = write_corpus(corpus_dir, seed=seed, n_days=420, start=date(2018, 1, 1),
                             counts=SMALL_COUNTS, late_start_count=2,
-                            late_start=date(2018, 9, 1))
+                            late_start=date(2018, 9, 1), digits=digits)
     out_dir = tmp_path / "out"
     config = write_run_config(
         tmp_path / "config.json", manifest, out_dir, seed=seed,
@@ -232,6 +234,42 @@ def test_run_jobs_2_matches_jobs_1(tmp_path):
     a, b = tree_bytes(serial), tree_bytes(parallel)
     assert len([k for k in a if k.startswith("scenarios/")]) == 4
     assert a == b
+
+
+def cpu_settings() -> dict[str, dict[str, str]]:
+    """Child environments that change which CPU code numpy and OpenBLAS run.
+
+    One disables every numpy feature this machine dispatches to, which leaves
+    numpy's baseline code; on x86-64 another picks OpenBLAS's oldest kernels.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    present = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    settings = {"default": {}, "numpy-baseline": {"NPY_DISABLE_CPU_FEATURES": " ".join(present)}}
+    if platform.machine() in ("x86_64", "AMD64"):
+        settings["openblas-prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}
+    return settings
+
+
+def test_run_writes_the_same_bytes_on_every_cpu_code_path(tmp_path):
+    # three significant digits tie many values within a column, so the order
+    # in which a sort leaves tied rows shows in the artifacts
+    config, _, _ = small_setup(tmp_path, digits=3)
+    src = str(Path(models.__file__).resolve().parents[1])
+    trees = {}
+    for name, setting in cpu_settings().items():
+        out = tmp_path / name
+        env = {**os.environ, "PYTHONPATH": src, **setting}
+        subprocess.run([sys.executable, "-m", "cryptodiv.cli", "run", "--config", str(config),
+                        "--out", str(out)], env=env, check=True, stdout=subprocess.DEVNULL)
+        trees[name] = tree_bytes(out)
+    default = trees.pop("default")
+    assert any(k.startswith("scenarios/") for k in default)
+    for name, tree in trees.items():
+        assert tree.keys() == default.keys(), name
+        assert [k for k in tree if tree[k] != default[k]] == [], name
 
 
 def test_run_augments_corpus_once(tmp_path, monkeypatch):

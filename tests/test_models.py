@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cryptodiv import models
 from cryptodiv.models import (EnsembleParams, ModelKind, chronological_folds, fit_forest,
                               fit_gbt, fit_model, fit_tree, grid_search_cv, mse)
 from cryptodiv.seeding import substream
@@ -164,6 +165,34 @@ def test_forest_node_table_equal_at_jobs_1_2_3(bootstrap):
             got = getattr(other, column)
             assert got.dtype == reference.dtype and not got.flags.writeable, column
             assert np.array_equal(got.view(np.int64), reference.view(np.int64)), column
+
+
+@pytest.mark.parametrize("n_estimators", [1, 7])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind, bootstrap", [(ModelKind.RANDOM_FOREST, True),
+                                             (ModelKind.RANDOM_FOREST, False),
+                                             (ModelKind.GRADIENT_BOOST, False)],
+                         ids=["rf-bootstrap", "rf", "gbt"])
+def test_a_fit_sorts_x_once(tmp_path, monkeypatch, kind, bootstrap, jobs, n_estimators):
+    # each call appends a line to a file, so calls in forked workers count too
+    log, original = tmp_path / "sorts", models._sort_columns
+
+    def counting(X):
+        with open(log, "a") as fh:
+            fh.write("sort\n")
+        return original(X)
+
+    monkeypatch.setattr(models, "_sort_columns", counting)
+    rng = np.random.default_rng(27)
+    X = np.round(rng.normal(size=(60, 4)), 1)
+    y = X[:, 1] + rng.normal(scale=0.2, size=60)
+    params = EnsembleParams(kind=kind, n_estimators=n_estimators, max_depth=3,
+                            bootstrap=bootstrap)
+    if kind is ModelKind.RANDOM_FOREST:
+        fit_forest(X, y, params, seed=5, jobs=jobs)
+    else:
+        fit_gbt(X, y, params, seed=5)
+    assert log.read_text().splitlines() == ["sort"]
 
 
 def test_per_tree_predictions_c_ordered_rows_match_predict_tree():

@@ -3,7 +3,9 @@ tree_oracles, on generated data.
 
 fit_tree, and the trees that fit_forest and fit_gbt grow, must equal the
 oracle's node tables bit for bit: the same splits, thresholds, node values,
-sample counts and impurities, in the same preorder.
+sample counts and impurities, in the same preorder. A forest's bootstrap tree
+reads the fit's one sort on its drawn rows; the oracle copies those rows out
+of X in index order and sorts the copy.
 """
 
 import numpy as np
@@ -68,10 +70,18 @@ def test_forest_and_boosting_equal_partitioning_oracle(problem):
     X, y, params, seed = problem
     forest = fit_forest(X, y, params, seed)
     boosted = fit_gbt(X, y, params, seed)
+    calls = []
+
+    def oracle_tree(*args, **kwargs):
+        calls.append(args)
+        return oracle.fit_tree(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "fit_tree", oracle.fit_tree)
+        patch.setattr(models, "fit_tree", oracle_tree)
         expected_forest = fit_forest(X, y, params, seed)
         expected_boosted = fit_gbt(X, y, params, seed)
+    # one oracle tree per forest tree and per boosting stage
+    assert len(calls) == 2 * params.n_estimators
     assert_same_tables(forest.nodes, expected_forest.nodes)
     assert_same_tables(boosted.nodes, expected_boosted.nodes)
     assert (np.array(boosted.training_mse).tobytes()

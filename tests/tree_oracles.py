@@ -3,8 +3,11 @@
 This is the grower that `cryptodiv.models` replaced with growth from per-column
 ranks. Each node carries an (n x p) matrix whose column f lists the node's rows
 sorted by feature f; a split partitions every column, keeping each one's order.
-The tree tests require `models.fit_tree`, `fit_forest` and `fit_gbt` to build
-the same node tables as this grower, bit for bit.
+The root's sort is stable, so tied values keep their rows in index order.
+A bootstrap tree grows on its drawn rows copied out of X in index order, so a
+row drawn k times is k adjacent rows. The tree tests require `models.fit_tree`,
+`fit_forest` and `fit_gbt` to build the same node tables as this grower, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from cryptodiv.models import (EnsembleParams, _best_split_sorted, _check_xy, _No
 
 def sort_columns(X: np.ndarray) -> np.ndarray:
     """Row indices sorting each column of X, as the root of a tree needs them."""
-    return np.argsort(X, axis=0).astype(np.int32)
+    return np.argsort(X, axis=0, kind="stable").astype(np.int32)
 
 
 def grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
@@ -66,10 +69,16 @@ def grow(X: np.ndarray, y: np.ndarray, sorted_idx: np.ndarray, depth: int,
     grow(X, y, right_sorted, depth + 1, params, rng, m, rows)
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams,
-             rng: np.random.Generator, **_shared) -> _NodeTable:
-    """One tree grown by partitioning; keywords sharing a sort between fits are ignored."""
+def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.random.Generator,
+             _columns=None, _rows: np.ndarray | None = None) -> _NodeTable:
+    """One tree grown by partitioning, on the rows _rows lists if given.
+
+    X and y are copied to hold those rows in index order, and the copy is
+    sorted afresh; a sort shared between fits (_columns) is ignored.
+    """
     X, y = _check_xy(X, y)
+    if _rows is not None:
+        X, y = X[np.sort(_rows)], y[np.sort(_rows)]
     m = _resolve_features_per_split(params.features_per_split, X.shape[1])
     rows: list[list] = []
     grow(X, y, sort_columns(X), 0, params, rng, m, rows)
