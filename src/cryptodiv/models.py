@@ -224,10 +224,14 @@ class TreeEnsemble:
     def n_trees(self) -> int:
         return len(self.nodes.roots)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _check_x(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got shape {X.shape}")
+        return X
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = self._check_x(X)
         start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
         return self.combine_tree_total(self.nodes.value[self.nodes.leaves(X, start)].sum(axis=1))
 
@@ -242,7 +246,7 @@ class TreeEnsemble:
         one after another; a transposed view would be summed pairwise and
         give different low bits.
         """
-        X = np.asarray(X, dtype=np.float64)
+        X = self._check_x(X)
         roots = self.nodes.roots[np.asarray(tree_indices, dtype=np.intp)]
         start = np.broadcast_to(roots, (len(X), len(roots)))
         return np.ascontiguousarray(self.nodes.value[self.nodes.leaves(X, start)].T)

@@ -310,6 +310,18 @@ def test_predict_dimension_mismatch():
         model.predict(rng.normal(size=(5, 4)))
 
 
+@pytest.mark.parametrize("width", [2, 5])
+def test_per_tree_predictions_reject_the_wrong_width(width):
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(30, 3))
+    model = fit_forest(X, rng.normal(size=30), EnsembleParams(n_estimators=2, max_depth=3), seed=0)
+    probe = rng.normal(size=(50, width))
+    with pytest.raises(ValueError, match="expected 3 feature columns"):
+        model.per_tree_predictions(probe)
+    with pytest.raises(ValueError, match="expected 3 feature columns"):
+        model.predict_tree([0], probe)
+
+
 # ---------------------------------------------------------------------------
 # mse
 # ---------------------------------------------------------------------------
