@@ -1,9 +1,11 @@
 """Regression tree ensembles: random forest and least-squares gradient boosting.
 
 A fit sorts each column of X once, stably, and every tree grows from that sort
-on its own rows; a bootstrap row drawn k times counts k times. Trees split by
-variance reduction at midpoint thresholds into one preorder node table per
-ensemble, which keeps node sample counts and impurities for importance. All
+on its own rows; a bootstrap row drawn k times counts k times. A tree grows one
+depth at a time: the depth's nodes draw their candidate columns together and
+find their splits in one pass over their rows. Trees split by variance
+reduction at midpoint thresholds into one preorder node table per ensemble,
+which keeps node sample counts and impurities for importance. All
 randomness comes from substreams keyed by (seed, tree index), and no sum goes
 through BLAS, so (data, params, seed) fixes a fit's bits on every CPU.
 """
@@ -81,15 +83,6 @@ class _NodeTable:
     n_samples: np.ndarray
     impurity: np.ndarray
     roots: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: list[list]) -> "_NodeTable":
-        """One tree from preorder rows (feature, threshold, left, right, value, n, impurity)."""
-        feature, threshold, left, right, value, n_samples, impurity = zip(*rows)
-        return cls(np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
-                   np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                   np.array(value, dtype=np.float64), np.array(n_samples, dtype=np.intp),
-                   np.array(impurity, dtype=np.float64), np.zeros(1, dtype=np.intp))
 
     @classmethod
     def concat(cls, tables: list["_NodeTable"]) -> "_NodeTable":
@@ -271,7 +264,7 @@ def _resolve_features_per_split(setting: float | int | None, n_features: int) ->
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.ascontiguousarray(X, dtype=np.float64)   # _grow reads X by flat index
+    X = np.ascontiguousarray(X, dtype=np.float64)   # fit_tree reads X by flat index
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -282,98 +275,121 @@ def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _best_split_sorted(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Best (local feature, split position, threshold) over sorted columns.
-
-    xs/ys hold each candidate's values sorted ascending, ys centered on the
-    node mean, so the variance reduction of a split collapses to
-    (sum of left ys)^2 * n / (n_l * n_r). Ties break toward the earlier
-    candidate column, then the smaller split position, by scanning the gain
-    matrix feature-major.
-    """
-    n = len(ys)
-    cy = np.cumsum(ys, axis=0)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    weight = n / (nl * (n - nl))
-    sums_l = cy[:-1]
-    gain = sums_l * sums_l * weight
-    valid = xs[1:] > xs[:-1]
-    if min_leaf > 1:
-        k = min_leaf
-        valid[:k - 1] = False
-        valid[len(valid) - (k - 1):] = False
-    gain[~valid] = -np.inf
-    flat = np.ravel(gain.T)  # feature-major scan
-    best = int(np.argmax(flat))
-    if flat[best] <= 0.0 or not np.isfinite(flat[best]):
-        return None
-    local_feat, pos = divmod(best, n - 1)
-    threshold = 0.5 * (xs[pos, local_feat] + xs[pos + 1, local_feat])
-    return local_feat, pos, float(threshold)
-
-
-def _grow(X: np.ndarray, y: np.ndarray, columns: tuple[np.ndarray, np.ndarray],
-          members: np.ndarray, depth: int, params: EnsembleParams, rng: np.random.Generator,
-          m: int, rows: list[list]) -> None:
-    """Append one node, then its left and right subtrees, to `rows` (preorder).
-
-    members are the node's rows in the root order of feature 0, and columns is
-    _sort_columns(X). Sorting the members' ranks in a column lists them in that
-    column's root order, so a node reads only its m candidate columns.
-    """
-    order, rank = columns
-    n = len(members)
-    y_node = y[members]
-    mean = float(y_node.mean())
-    centered = y_node - mean
-    sse = float(np.sum(centered * centered))
-    leaf = len(rows)
-    row = [-1, 0.0, leaf, leaf, mean, n, sse / n]
-    rows.append(row)
-    if (depth >= params.max_depth or n < params.min_samples_split
-            or n < 2 * params.min_samples_leaf or np.ptp(y_node) == 0.0):
-        return
-
-    n_rows, p = X.shape
-    if m >= p:
-        candidates = np.arange(p)
-    else:
-        candidates = np.sort(rng.choice(p, size=m, replace=False))
-    start = candidates[:, None] * n_rows    # flat offset of each candidate's column
-    si = order.take(start + np.sort(rank.take(start + members), axis=1))
-    xs = X.take(si * p + candidates[:, None])
-    found = _best_split_sorted(xs.T, (y[si] - mean).T, params.min_samples_leaf)
-    if found is None:
-        return
-    local_feat, pos, threshold = found
-    row[0] = int(candidates[local_feat])
-    row[1] = threshold
-    winner = si[local_feat]
-    for child, link in ((winner[:pos + 1], 2), (winner[pos + 1:], 3)):
-        row[link] = len(rows)
-        _grow(X, y, columns, order[0, np.sort(rank[0, child])], depth + 1, params, rng, m, rows)
-
-
 def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.random.Generator,
              _columns: tuple[np.ndarray, np.ndarray] | None = None,
              _rows: np.ndarray | None = None) -> _NodeTable:
-    """Grow one CART regression tree; rng drives per-node feature subsets.
+    """Grow one CART regression tree, one depth at a time; rng draws each depth's candidates.
 
     _columns, if given, is _sort_columns(X), shared by the trees of one fit.
     _rows, if given, are the rows to grow on: a row listed k times counts k times.
+
+    A depth's nodes hold their rows in consecutive blocks of `members`. Each
+    splittable node gets m candidate columns (the m smallest of its row of one
+    rng.random((k, p)) draw, ascending). In each candidate slot, sorting
+    (node, rank) keys lists every node's rows in its candidate's root order,
+    and one cumsum of the targets, centered on each node's mean, gives every
+    node's left sums. A split maximizes (left sum)^2 * n / (n_l * n_r) at a
+    value change; ties go to the earlier slot, then the smaller position. Each
+    child is a slice of its parent's winning slot, so it needs no partition.
     """
     X, y = _check_xy(X, y)
-    m = _resolve_features_per_split(params.features_per_split, X.shape[1])
+    n_rows, p = X.shape
+    m = _resolve_features_per_split(params.features_per_split, p)
     order, rank = _sort_columns(X) if _columns is None else _columns
-    root = order[0] if _rows is None else order[0, np.sort(rank[0, _rows])]
-    rows: list[list] = []
-    _grow(X, y, (order, rank), root, 0, params, rng, m, rows)
-    return _NodeTable.from_rows(rows)
+    members = np.arange(n_rows) if _rows is None else np.sort(_rows)
+    sizes = np.array([len(members)])
+    levels = []     # per depth: (feature, threshold, value, n_samples, impurity) of its nodes
+    for depth in range(params.max_depth + 1):
+        starts = np.cumsum(sizes) - sizes
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        y_m = y[members]
+        mean = np.add.reduceat(y_m, starts) / sizes
+        centered = y_m - mean[node]
+        feature, threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+        levels.append((feature, threshold, mean, sizes,
+                       np.add.reduceat(centered * centered, starts) / sizes))
+        grow = ((sizes >= params.min_samples_split) & (sizes >= 2 * params.min_samples_leaf)
+                & (np.maximum.reduceat(y_m, starts) != np.minimum.reduceat(y_m, starts)))
+        if depth == params.max_depth or not grow.any():
+            break
+        at = np.flatnonzero(grow)
+        members, sizes = members[grow[node]], sizes[at]
+        k, N = len(at), len(members)
+        starts = np.cumsum(sizes) - sizes
+        node = np.repeat(np.arange(k), sizes)
+        if m >= p:
+            cand = np.broadcast_to(np.arange(p), (k, p))
+        else:
+            cand = np.sort(np.argsort(rng.random((k, p)), axis=1, kind="stable")[:, :m], axis=1)
+        col = np.repeat(cand.T, sizes, axis=1)  # (m, N): each slot's candidate per member
+        base = (node * n_rows).astype(np.int32 if k * n_rows < 2**31 else np.int64)
+        flat = col * n_rows
+        keys = np.sort(base + rank.take(flat + members), axis=1)
+        rows = order.take(flat + (keys - base))
+        xs = X.take(rows * p + col)
+        left = np.cumsum(y.take(rows) - mean[at][node], axis=1)
+        left -= np.repeat(np.where(starts > 0, left[:, starts - 1], 0.0), sizes, axis=1)
+        n_l = np.arange(1, N + 1) - starts[node]
+        n_r = sizes[node] - n_l
+        # gains are >= 0 and a split needs one > 0, so a split that is not allowed scores 0:
+        # fewer than min_samples_leaf rows on a side (a block's last slot has n_r = 0) ...
+        weight = np.where((n_l >= params.min_samples_leaf) & (n_r >= params.min_samples_leaf),
+                          sizes[node] / np.maximum(n_l * n_r, 1), 0.0)
+        rise = np.zeros(xs.shape, dtype=bool)   # ... or no value change to cut at
+        np.greater(xs[:, 1:], xs[:, :-1], out=rise[:, :-1])
+        gain = left * left
+        gain *= weight
+        gain *= rise
+        slot_best = np.maximum.reduceat(gain, starts, axis=1)
+        slot = slot_best.argmax(axis=0)
+        best = slot_best[slot, np.arange(k)]
+        split = (best > 0.0) & (best < np.inf)
+        if not split.any():
+            break
+        won = slot[node], np.arange(N)
+        hit = gain[won] == best[node]
+        cut = np.minimum.reduceat(np.where(hit, won[1], N), starts)    # each node's last left row
+        members = rows[won][split[node]]
+        n_left = cut - starts + 1
+        sizes = np.column_stack((n_left, sizes - n_left))[split].ravel()
+        cut, slot = cut[split], slot[split]
+        feature[at[split]] = cand[split, slot]
+        threshold[at[split]] = 0.5 * (xs[slot, cut] + xs[slot, cut + 1])
+    return _preorder(levels)
+
+
+def _preorder(levels: list[tuple[np.ndarray, ...]]) -> _NodeTable:
+    """One tree's node table from its depths' nodes; a split node's children
+    are the next depth's next two nodes."""
+    splits = [level[0] >= 0 for level in levels]
+    count = [np.ones(len(s), dtype=np.intp) for s in splits]     # subtree sizes, bottom up
+    for d in range(len(levels) - 2, -1, -1):
+        count[d][splits[d]] += count[d + 1][0::2] + count[d + 1][1::2]
+    place = [np.zeros(1, dtype=np.intp)]                          # preorder positions, top down
+    for d in range(1, len(levels)):
+        child = np.repeat(place[-1][splits[d - 1]] + 1, 2)
+        child[1::2] += count[d][0::2]
+        place.append(child)
+    left, right = [p.copy() for p in place], [p.copy() for p in place]
+    for d in range(len(levels) - 1):
+        left[d][splits[d]], right[d][splits[d]] = place[d + 1][0::2], place[d + 1][1::2]
+    at = np.concatenate(place)
+
+    def column(parts, dtype) -> np.ndarray:
+        out = np.empty(len(at), dtype=dtype)
+        out[at] = np.concatenate(parts)
+        return out
+
+    feature, threshold, value, n_samples, impurity = zip(*levels)
+    return _NodeTable(column(feature, np.intp), column(threshold, np.float64),
+                      column(left, np.intp), column(right, np.intp), column(value, np.float64),
+                      column(n_samples, np.intp), column(impurity, np.float64),
+                      np.zeros(1, dtype=np.intp))
 
 
 def _sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank): order[f] is the rows sorted by column f, rank[f, r] row r's place in it."""
-    # stable: every CPU breaks ties by row index; intp: _grow's flat indices cannot overflow
+    # stable: every CPU breaks ties by row index; intp: fit_tree's flat indices cannot overflow
     order = np.argsort(X.T, axis=1, kind="stable")
     rank = np.empty(order.shape, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(len(X), dtype=np.int32), axis=1)

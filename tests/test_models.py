@@ -67,6 +67,30 @@ def test_tree_dimension_mismatch():
         fit_tree(np.zeros((10, 2)), np.zeros(9), EnsembleParams(), substream(0, "t"))
 
 
+class CountingGenerator:
+    """A Generator that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("max_depth", [2, 6])
+def test_tree_draws_candidates_once_per_depth(max_depth):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(300, 12))
+    y = X[:, 0] + X[:, 5] ** 2 + rng.normal(size=300)
+    counting = CountingGenerator(substream(0, "t"))
+    tree = fit_tree(X, y, EnsembleParams(max_depth=max_depth, features_per_split=4), counting)
+    assert tree.max_depth() == max_depth and len(tree.feature) > 2 * max_depth
+    assert len(counting.calls) <= max_depth
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------

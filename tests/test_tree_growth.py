@@ -1,11 +1,11 @@
-"""Tree growth from per-column ranks against the partitioning grower in
+"""Tree growth, one depth at a time, against the plain reference grower in
 tree_oracles, on generated data.
 
 fit_tree, and the trees that fit_forest and fit_gbt grow, must equal the
 oracle's node tables bit for bit: the same splits, thresholds, node values,
 sample counts and impurities, in the same preorder. A forest's bootstrap tree
-reads the fit's one sort on its drawn rows; the oracle copies those rows out
-of X in index order and sorts the copy.
+reads the fit's one sort on its drawn rows; the oracle ignores that sort and
+orders each node's rows by (value, row) itself.
 """
 
 import numpy as np
