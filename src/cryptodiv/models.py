@@ -4,8 +4,9 @@ A fit sorts each column of X once, stably, and every tree grows from that sort
 on its own rows; a bootstrap row drawn k times counts k times. A tree grows one
 depth at a time: the depth's nodes draw their candidate columns together and
 find their splits in one pass over their rows. Trees split by variance
-reduction at midpoint thresholds into one preorder node table per ensemble,
-which keeps node sample counts and impurities for importance. All
+reduction at midpoint thresholds into one node table per ensemble, each tree
+stored breadth first as it grew, which keeps node sample counts and
+impurities for importance. All
 randomness comes from substreams keyed by (seed, tree index), and no sum goes
 through BLAS, so (data, params, seed) fixes a fit's bits on every CPU.
 """
@@ -66,10 +67,11 @@ class EnsembleParams:
 
 @dataclass(eq=False)
 class _NodeTable:
-    """Fitted trees as parallel per-node arrays in preorder.
+    """Fitted trees as parallel per-node arrays, breadth first.
 
-    Tree t occupies one block starting at roots[t]: each node is followed by
-    its left subtree, then its right subtree. At a leaf feature is -1,
+    Tree t occupies one block starting at roots[t]: its depths' nodes in the
+    order they grew, so the children of the block's k-th split node are the
+    block's nodes 2k+1 and 2k+2. At a leaf feature is -1,
     threshold 0.0, and left and right point back at the leaf itself.
     n_samples and impurity (the variance of the node's targets) feed
     impurity-based importance; value is the mean.
@@ -165,28 +167,23 @@ class _NodeTable:
         return np.ascontiguousarray(leaves.transpose(0, 3, 1, 2))
 
     def path_reads(self, feature: int) -> np.ndarray:
-        """Per node: whether a split on `feature` lies on its path from the root.
-
-        A preorder subtree is the block [s, subtree_end[s]), so the nodes
-        below the splits on `feature` are a union of such blocks.
-        """
-        splits = np.flatnonzero(self.feature == feature)
-        n = len(self.feature)
-        edges = (np.bincount(splits + 1, minlength=n + 1)
-                 - np.bincount(self.subtree_end[splits], minlength=n + 1))
-        return np.cumsum(edges[:n]) > 0
+        """Per node: whether a split on `feature` lies on its path from the root."""
+        return (self.path_features == feature).any(axis=1)
 
     @cached_property
-    def subtree_end(self) -> np.ndarray:
-        """One past the last node of each node's subtree: its rightmost leaf + 1."""
-        last = np.arange(len(self.feature))
-        while True:
-            below = self.right[last]    # a leaf's right is itself
-            if np.array_equal(below, last):
-                end = last + 1
-                end.flags.writeable = False
-                return end
-            last = below
+    def path_features(self) -> np.ndarray:
+        """(n_nodes, max_depth) int32: row i holds the features split on above node i,
+        by depth, padded with -1."""
+        path = np.full((len(self.feature), self.max_depth()), -1, dtype=np.int32)
+        level = self.roots
+        for depth in range(path.shape[1]):
+            parent = level[self.feature[level] >= 0]
+            level = np.concatenate((self.left[parent], self.right[parent]))
+            parent = np.concatenate((parent, parent))
+            path[level] = path[parent]
+            path[level, depth] = self.feature[parent]
+        path.flags.writeable = False
+        return path
 
     def max_depth(self) -> int:
         """Depth of the deepest tree; a lone leaf has depth 0."""
@@ -355,36 +352,11 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.rando
         cut, slot = cut[split], slot[split]
         feature[at[split]] = cand[split, slot]
         threshold[at[split]] = 0.5 * (xs[slot, cut] + xs[slot, cut + 1])
-    return _preorder(levels)
-
-
-def _preorder(levels: list[tuple[np.ndarray, ...]]) -> _NodeTable:
-    """One tree's node table from its depths' nodes; a split node's children
-    are the next depth's next two nodes."""
-    splits = [level[0] >= 0 for level in levels]
-    count = [np.ones(len(s), dtype=np.intp) for s in splits]     # subtree sizes, bottom up
-    for d in range(len(levels) - 2, -1, -1):
-        count[d][splits[d]] += count[d + 1][0::2] + count[d + 1][1::2]
-    place = [np.zeros(1, dtype=np.intp)]                          # preorder positions, top down
-    for d in range(1, len(levels)):
-        child = np.repeat(place[-1][splits[d - 1]] + 1, 2)
-        child[1::2] += count[d][0::2]
-        place.append(child)
-    left, right = [p.copy() for p in place], [p.copy() for p in place]
-    for d in range(len(levels) - 1):
-        left[d][splits[d]], right[d][splits[d]] = place[d + 1][0::2], place[d + 1][1::2]
-    at = np.concatenate(place)
-
-    def column(parts, dtype) -> np.ndarray:
-        out = np.empty(len(at), dtype=dtype)
-        out[at] = np.concatenate(parts)
-        return out
-
-    feature, threshold, value, n_samples, impurity = zip(*levels)
-    return _NodeTable(column(feature, np.intp), column(threshold, np.float64),
-                      column(left, np.intp), column(right, np.intp), column(value, np.float64),
-                      column(n_samples, np.intp), column(impurity, np.float64),
-                      np.zeros(1, dtype=np.intp))
+    feature, threshold, value, n_samples, impurity = (np.concatenate(c) for c in zip(*levels))
+    node, split = np.arange(len(feature)), feature >= 0
+    left = np.where(split, 2 * np.cumsum(split) - 1, node)     # split k's children: 2k+1, 2k+2
+    return _NodeTable(feature, threshold, left, np.where(split, left + 1, node), value,
+                      n_samples, impurity, np.zeros(1, dtype=np.intp))
 
 
 def _sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

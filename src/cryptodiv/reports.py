@@ -39,12 +39,16 @@ CATEGORY_LABELS = {
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename; a failure leaves no temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".tmp.{path.name}.{os.getpid()}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _by_period(results: Sequence[ScenarioResult]) -> dict[str, list[ScenarioResult]]:

@@ -6,7 +6,8 @@ import pytest
 from cryptodiv import importance
 from cryptodiv.importance import (ConstantColumnError, ImportanceReport, mdi, pearson,
                                   pearson_abs, pfi, shapley_exact, shapley_sampled)
-from cryptodiv.models import EnsembleParams, ModelKind, _NodeTable, fit_forest, fit_gbt, mse
+from cryptodiv.models import (EnsembleParams, ModelKind, _NodeTable, fit_forest, fit_gbt, fit_tree,
+                              mse)
 from cryptodiv.seeding import substream
 
 
@@ -115,7 +116,7 @@ def test_mdi_on_gbt():
 
 
 def mdi_oracle(model) -> np.ndarray:
-    """MDI by a plain loop over each tree's nodes, in table (preorder) order."""
+    """MDI by a plain loop over each tree's nodes, in table (breadth-first) order."""
     nodes = model.nodes
     bounds = [int(r) for r in nodes.roots] + [len(nodes.feature)]
     total = np.zeros(model.n_features)
@@ -425,6 +426,41 @@ def splits_twice_on_a_path(nodes) -> bool:
         if f >= 0:
             stack += [(int(nodes.left[node]), path + (f,)), (int(nodes.right[node]), path + (f,))]
     return False
+
+
+@pytest.mark.parametrize("case", ["rf", "gbt", "one-split-feature", "lone-leaf"])
+def test_path_reads_match_a_walk_up_to_the_root(case):
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(80, 5))
+    y = X[:, 0] - np.abs(X[:, 2]) + rng.normal(scale=0.2, size=80)
+    if case == "gbt":
+        nodes = fit_gbt(X, y, EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=6,
+                                             max_depth=3, bootstrap=False), seed=5).nodes
+    elif case == "one-split-feature":
+        nodes = fit_forest(X, X[:, 0] ** 2, EnsembleParams(n_estimators=3, max_depth=6),
+                           seed=5).nodes
+        assert splits_twice_on_a_path(nodes)
+    elif case == "lone-leaf":
+        # a tree on a constant target is one leaf; put one first and one last
+        params = EnsembleParams(max_depth=5)
+        leaf = fit_tree(X, np.ones(80), params, substream(5, "leaf"))
+        nodes = _NodeTable.concat([leaf, fit_tree(X, y, params, substream(5, "tree")), leaf])
+        assert len(leaf.feature) == 1
+    else:
+        nodes = fit_forest(X, y, EnsembleParams(n_estimators=5, max_depth=5,
+                                                features_per_split=0.4), seed=5).nodes
+    parent = {}
+    for node in np.flatnonzero(nodes.feature >= 0):
+        parent[int(nodes.left[node])] = parent[int(nodes.right[node])] = int(node)
+    for j in range(X.shape[1] + 1):     # the last feature is not in X
+        expected = []
+        for node in range(len(nodes.feature)):
+            above = set()
+            while node in parent:
+                node = parent[node]
+                above.add(int(nodes.feature[node]))
+            expected.append(j in above)
+        assert nodes.path_reads(j).tolist() == expected, j
 
 
 def shapley_case(case):

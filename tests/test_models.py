@@ -152,7 +152,7 @@ def test_forest_variance_shrinks_with_more_trees():
     assert spread(40) < spread(2)
 
 
-def test_forest_node_table_is_preorder():
+def test_forest_node_table_is_breadth_first():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(90, 4))
     y = X[:, 0] + rng.normal(scale=0.5, size=90)
@@ -160,19 +160,21 @@ def test_forest_node_table_is_preorder():
     bounds = [int(r) for r in nodes.roots] + [len(nodes.feature)]
     assert bounds[0] == 0
 
-    def walk(i, depth, order):
-        order.append(i)
-        if nodes.feature[i] < 0:
-            assert nodes.left[i] == i and nodes.right[i] == i and nodes.threshold[i] == 0.0
-            return depth
-        assert nodes.left[i] == i + 1
-        return max(walk(nodes.left[i], depth + 1, order), walk(nodes.right[i], depth + 1, order))
-
     depths = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        order = []
-        depths.append(walk(start, 0, order))
-        assert order == list(range(start, stop))
+        depth, splits = {start: 0}, 0
+        for i in range(start, stop):
+            if nodes.feature[i] < 0:
+                assert nodes.left[i] == i and nodes.right[i] == i and nodes.threshold[i] == 0.0
+                continue
+            # the k-th split node of a tree has its nodes 2k+1 and 2k+2 as children
+            assert nodes.left[i] == start + 2 * splits + 1 and nodes.right[i] == nodes.left[i] + 1
+            depth[nodes.left[i]] = depth[nodes.right[i]] = depth[i] + 1
+            splits += 1
+        assert sorted(depth) == list(range(start, stop))
+        # depth by depth: no node comes before a shallower one
+        assert [depth[i] for i in range(start, stop)] == sorted(depth.values())
+        depths.append(max(depth.values()))
     assert nodes.max_depth() == max(depths) <= 5
 
 

@@ -1,5 +1,9 @@
+import os
 from datetime import date
 
+import pytest
+
+from cryptodiv import reports
 from cryptodiv.data import Category
 from cryptodiv.reports import render_improvement_by_category_csv
 
@@ -22,3 +26,28 @@ def test_improvement_by_category_mean_per_period():
                scenario_result(date(2019, 1, 1), 30, {Category.MACRO: -2.0})]
     assert render_improvement_by_category_csv(results).splitlines() == [
         "category,2018,2019", "Macroeconomic Indicators,1.00,0.50"]
+
+
+@pytest.mark.parametrize("failing", ["replace", "write"])
+def test_atomic_write_text_leaves_no_temp_file_when_it_fails(tmp_path, monkeypatch, failing):
+    target = tmp_path / "tables" / "t.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+
+    write_text = type(target).write_text
+
+    def partial_write(path, text):
+        write_text(path, text[:1])     # the file is there when the disk fills up
+        raise OSError("disk full")
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    if failing == "replace":
+        monkeypatch.setattr(os, "replace", fail)
+    else:
+        monkeypatch.setattr(type(target), "write_text", partial_write)
+    with pytest.raises(OSError, match="disk full"):
+        reports.atomic_write_text(target, "new\n")
+    assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
+    assert target.read_text() == "old\n"

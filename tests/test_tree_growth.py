@@ -3,7 +3,7 @@ tree_oracles, on generated data.
 
 fit_tree, and the trees that fit_forest and fit_gbt grow, must equal the
 oracle's node tables bit for bit: the same splits, thresholds, node values,
-sample counts and impurities, in the same preorder. A forest's bootstrap tree
+sample counts and impurities, in the same breadth-first order. A forest's bootstrap tree
 reads the fit's one sort on its drawn rows; the oracle ignores that sort and
 orders each node's rows by (value, row) itself.
 """

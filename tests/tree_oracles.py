@@ -18,7 +18,9 @@ one node and one candidate at a time:
 - A split maximizes (left sum)^2 * n / (n_l * n_r) at a value change with
   min_samples_leaf rows on each side; ties go to the earlier slot, then the
   smaller position. The children are the two sides in the winning order.
-- The table lists each node, then its left subtree, then its right subtree.
+- The table lists the root, then each depth's nodes in the order they grew:
+  the children of each split node, left then right, in the order of their
+  parents.
 
 The tree tests require `models.fit_tree`, `fit_forest` and `fit_gbt` to
 build the same node tables as this grower, bit for bit.
@@ -66,8 +68,9 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.rando
     m = _resolve_features_per_split(params.features_per_split, p)
     xl, yl = X.tolist(), y.tolist()
     root = {"rows": list(range(n_rows)) if _rows is None else sorted(_rows.tolist())}
-    level = [root]
+    level, grown = [root], []
     for depth in range(params.max_depth + 1):
+        grown.extend(level)
         growing = []
         for node in level:
             ys = [yl[r] for r in node["rows"]]
@@ -93,19 +96,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: EnsembleParams, rng: np.rando
             node["children"] = ({"rows": rows[:i + 1]}, {"rows": rows[i + 1:]})
             level.extend(node["children"])
 
-    table: list[list] = []
-
-    def emit(node: dict) -> None:
-        """Append node, then its left and right subtrees (preorder)."""
-        here = len(table)
+    at = {id(node): i for i, node in enumerate(grown)}
+    table = []
+    for i, node in enumerate(grown):
         feature, threshold = node.get("split", (-1, 0.0))
-        row = [feature, threshold, here, here, node["value"], node["n"], node["impurity"]]
-        table.append(row)
-        for link, child in zip((2, 3), node.get("children", ())):
-            row[link] = len(table)
-            emit(child)
-
-    emit(root)
+        left, right = (at[id(child)] for child in node.get("children", (node, node)))
+        table.append([feature, threshold, left, right, node["value"], node["n"], node["impurity"]])
     columns = [np.array(c, dtype=t) for c, t in zip(
         zip(*table), (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp, np.float64))]
     return _NodeTable(*columns, roots=np.zeros(1, dtype=np.intp))
