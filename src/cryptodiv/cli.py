@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -25,7 +24,7 @@ from typing import Callable
 
 from . import data, experiments, fra, index, indicators, reports
 from ._parallel import WorkerDied, fork_map
-from ._syntax import parse_day, parse_number
+from ._syntax import parse_day
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
 from .fra import FraConfig
@@ -147,8 +146,8 @@ def _periods(values) -> tuple[date, ...]:
     return periods
 
 
-def _windows(value, allow_empty: bool = False) -> tuple[int, ...]:
-    """A list of integer windows, each at least 1; true/false are not integers here."""
+def _positive_ints(value, allow_empty: bool = False) -> tuple[int, ...]:
+    """A list of integers, each at least 1; true/false are not integers here."""
     if not isinstance(value, list) or not all(type(v) is int and v >= 1 for v in value):
         raise ValueError(f"expected a list of integers >= 1, got {value!r}")
     if not value and not allow_empty:
@@ -178,10 +177,8 @@ def load_run_config(path: str | Path) -> RunConfig:
                         gbt_params=_parse_params(fra_doc, "gbt", ModelKind.GRADIENT_BOOST))
     shapley = _build(ShapleySettings, _section(doc, "shapley", _SHAP_KEYS, "shapley"), "shapley")
 
-    periods = _checked("'periods' at config root", _periods,
-                       doc.get("periods", ["2017-01-01", "2019-01-01"]))
-    windows = _checked("'windows' at config root", _windows,
-                       doc.get("windows", [1, 7, 30, 90, 180]))
+    cells = {key: _checked(f"'{key}' at config root", parse, doc[key])
+             for key, parse in (("periods", _periods), ("windows", _positive_ints)) if key in doc}
 
     given = {}
     if "indicator_sources" in doc:
@@ -192,8 +189,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         given["indicator_sources"] = tuple(sources)
     if "indicator_windows" in doc:
         # an empty list means no indicators
-        given["indicator_windows"] = _checked("'indicator_windows' at config root", _windows,
-                                              doc["indicator_windows"], True)
+        given["indicator_windows"] = _checked("'indicator_windows' at config root",
+                                              _positive_ints, doc["indicator_windows"], True)
     pipeline = _build(PipelineConfig, doc, "config root", fra=fra_config, shapley=shapley, **given)
 
     index_input = None
@@ -207,8 +204,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     return _build(RunConfig, doc, "config root",
                   manifest=base / doc["manifest"], output_dir=base / doc["output_dir"],
-                  periods=periods, windows=windows, pipeline=pipeline,
-                  index_input=index_input, index_params=index_params)
+                  pipeline=pipeline, index_input=index_input, index_params=index_params,
+                  **cells)
 
 
 # The flags that override a config field, by the object that holds the field:
@@ -231,9 +228,13 @@ def _flag_value(dest: str, value):
     if dest == "periods":
         return _periods(value.split(","))
     if dest == "windows":
-        # a window that is not a plain integer stays a string, which _windows rejects
-        return _windows([int(w) if w.isdigit() else w for w in value.split(",")])
+        return _int_list(value)
     return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """A flag's comma-separated integers of at least 1, in ASCII digits (`int` reads `٧`, `1_0`)."""
+    return _positive_ints([int(v) if v.isascii() and v.isdigit() else v for v in text.split(",")])
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -308,12 +309,12 @@ def cmd_index(args: argparse.Namespace) -> int:
         raise ConfigError(f"{', '.join(calibration)} given without --calibrate")
     if args.calibrate and not args.reference:
         raise ConfigError("--calibrate requires --reference")
+    candidates = {} if args.candidates is None else {
+        "candidate_powers": _checked("--candidates", _int_list, args.candidates)}
     snapshots = index.load_mcap_csv(args.mcaps)
     if args.calibrate:
-        reference = _load_single_series_csv(Path(args.reference))
+        reference = index.load_reference_csv(args.reference)
         sums = {snap.date: index.top_n_cap(snap, params.top_n) for snap in snapshots}
-        candidates = {} if args.candidates is None else {"candidate_powers": _checked(
-            "--candidates", lambda: tuple(int(c) for c in args.candidates.split(",")))}
         result = index.calibrate_power(sums, reference, **candidates)
         params = replace(params, power=result.power)
         if args.fit_out:
@@ -323,34 +324,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     reports.atomic_write_text(args.out, index.render_index_csv(rows, params.power))
     print(f"wrote {len(rows)} index rows to {args.out}")
     return 0
-
-
-def _load_single_series_csv(path: Path) -> dict[date, float]:
-    """Read a `date,<value>` CSV of finite values, one per date, into a date -> value map.
-
-    A row of other than two cells is a bad row."""
-    if not path.is_file():
-        raise FileNotFoundError(f"reference file not found: {path}")
-    out: dict[date, float] = {}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2 or header[0] != "date":
-            raise ValueError(f"{path}: expected a 'date,<metric>' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                stamp, cell = line.split(",")
-                day, value = parse_day(stamp), parse_number(cell)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad row {line!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {cell!r}")
-            if day in out:
-                raise ValueError(f"{path}:{lineno}: repeated date {day}")
-            out[day] = value
-    return out
 
 
 # What `run` owns in its output directory, as globs under it. A run deletes

@@ -141,18 +141,16 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
     total = per_tree.sum(axis=0)
     baseline = mse(y, model.combine_tree_total(total))
     base_leaves = nodes.leaves(X, np.broadcast_to(nodes.roots, (n, model.n_trees))).T
-    trees_by_feature: dict[int, list[int]] = {}
-    for t, feats in enumerate(model.tree_feature_sets()):
-        for f in feats:
-            trees_by_feature.setdefault(int(f), []).append(t)
 
     def score(X_work: np.ndarray, j: int) -> float:
-        affected = trees_by_feature.get(j, [])
-        if not affected:
+        reads = nodes.path_reads(j)
+        # a tree splits on j where some node of its block has j on its path
+        affected = np.flatnonzero(np.logical_or.reduceat(reads, nodes.roots))
+        if not affected.size:
             return 0.0
         outputs = per_tree[affected]
         unaffected_total = total - outputs.sum(axis=0)
-        tree, row = np.nonzero(nodes.path_reads(j)[base_leaves[affected]])
+        tree, row = np.nonzero(reads[base_leaves[affected]])
         start = nodes.roots[affected][tree]
         deltas = []
         for r in range(repeats):

@@ -112,6 +112,8 @@ def calibrate_power(
     """
     if not candidate_powers:
         raise ValueError("candidate power set is empty")
+    if min(candidate_powers) < 1:
+        raise ValueError(f"candidate powers must be >= 1, got {min(candidate_powers)}")
     overlap = sorted(set(index_sums) & set(reference_price))
     if not overlap:
         raise ValueError("index and reference series have no overlapping dates")
@@ -134,6 +136,34 @@ def calibrate_power(
         table.append((p, objective))
     best = min(table, key=lambda row: (row[1], row[0]))
     return CalibrationResult(power=best[0], fit_table=tuple(table))
+
+
+def load_reference_csv(path: str | Path) -> dict[date, float]:
+    """The date -> value map of a `date,<price>` CSV: two cells a row, one finite value a date."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"reference file not found: {path}")
+    out: dict[date, float] = {}
+    with open(path, newline="") as fh:
+        rows = csv_rows(fh, path)
+        header = next(rows, [])
+        if len(header) != 2 or header[0].strip() != "date":
+            raise ValueError(f"{path}: expected a 'date,<metric>' header")
+        for lineno, row in enumerate(rows, start=2):
+            line = ",".join(row).strip()
+            if not line:
+                continue
+            try:
+                stamp, cell = row
+                day, value = parse_day(stamp.strip()), parse_number(cell)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad row {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {cell.strip()!r}")
+            if day in out:
+                raise ValueError(f"{path}:{lineno}: repeated date {day}")
+            out[day] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -487,27 +488,18 @@ def grid_search_cv(X: np.ndarray, y: np.ndarray, grid: Sequence[EnsembleParams],
     return CVResult(list(grid), fold_mses, mean_mses, best_index)
 
 
+def _default_grid(kind: ModelKind, last_axis: str, values: tuple) -> list[EnsembleParams]:
+    """Each (n_estimators, max_depth, min_samples_split, last_axis) setting, outermost first."""
+    return [EnsembleParams(kind=kind, n_estimators=n_estimators, max_depth=max_depth,
+                           min_samples_split=min_samples_split,
+                           bootstrap=kind is ModelKind.RANDOM_FOREST, **{last_axis: value})
+            for n_estimators, max_depth, min_samples_split, value
+            in product((100, 300), (4, 8, 16), (2, 10), values)]
+
+
 def default_rf_grid() -> list[EnsembleParams]:
-    grid = []
-    for n_estimators in (100, 300):
-        for max_depth in (4, 8, 16):
-            for min_samples_split in (2, 10):
-                for features_per_split in (1 / 3, None):
-                    grid.append(EnsembleParams(
-                        kind=ModelKind.RANDOM_FOREST, n_estimators=n_estimators,
-                        max_depth=max_depth, min_samples_split=min_samples_split,
-                        features_per_split=features_per_split))
-    return grid
+    return _default_grid(ModelKind.RANDOM_FOREST, "features_per_split", (1 / 3, None))
 
 
 def default_gbt_grid() -> list[EnsembleParams]:
-    grid = []
-    for n_estimators in (100, 300):
-        for max_depth in (4, 8, 16):
-            for min_samples_split in (2, 10):
-                for learning_rate in (0.05, 0.1):
-                    grid.append(EnsembleParams(
-                        kind=ModelKind.GRADIENT_BOOST, n_estimators=n_estimators,
-                        max_depth=max_depth, min_samples_split=min_samples_split,
-                        learning_rate=learning_rate, bootstrap=False))
-    return grid
+    return _default_grid(ModelKind.GRADIENT_BOOST, "learning_rate", (0.05, 0.1))

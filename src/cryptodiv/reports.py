@@ -16,17 +16,7 @@ from .data import Category, DropRecord
 from .experiments import (HorizonGroup, LONG_TERM_WINDOWS, SHORT_TERM_WINDOWS,
                           ScenarioResult, group_horizons, top_k, unique_top_k)
 
-# Category display order used by all tables.
-CATEGORY_ORDER = (
-    Category.MACRO,
-    Category.SENTIMENT_INTEREST,
-    Category.ONCHAIN_BTC,
-    Category.TRADITIONAL_INDEX,
-    Category.TECHNICAL,
-    Category.ONCHAIN_USDC,
-    Category.MARKET,
-)
-
+# Category display labels, in the order every table lists the categories.
 CATEGORY_LABELS = {
     Category.MACRO: "Macroeconomic Indicators",
     Category.SENTIMENT_INTEREST: "Sentiment and Interest Metrics",
@@ -115,7 +105,7 @@ def render_improvement_by_category_csv(results: Sequence[ScenarioResult]) -> str
     periods = sorted(grouped)
     present = {c for r in results for c in r.improvement.improvement_by_category}
     lines = ["category," + ",".join(periods)]
-    for cat in CATEGORY_ORDER:
+    for cat, label in CATEGORY_LABELS.items():
         if cat not in present:
             continue
         cells = []
@@ -126,7 +116,7 @@ def render_improvement_by_category_csv(results: Sequence[ScenarioResult]) -> str
             # left to right: builtin sum would compensate from Python 3.12 on
             total = reduce(operator.add, values, 0.0)
             cells.append(f"{total / len(values):.2f}" if values else "-")
-        lines.append(f"{CATEGORY_LABELS[cat]}," + ",".join(cells))
+        lines.append(f"{label}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -135,7 +125,7 @@ def render_contribution_csv(results: Sequence[ScenarioResult]) -> str:
     lines = ["set,window,category,contribution_factor"]
     for r in sorted(results, key=lambda r: (r.scenario.period_start, r.scenario.window)):
         period = str(r.scenario.period_start.year)
-        for cat in CATEGORY_ORDER:
+        for cat in CATEGORY_LABELS:
             if cat in r.contribution_factors:
                 lines.append(
                     f"{period},{r.scenario.window},{cat.value},{r.contribution_factors[cat]!r}")

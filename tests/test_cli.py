@@ -75,7 +75,9 @@ def test_index_command_matches_op_oracle(tmp_path, capsys):
         assert float(total) == pytest.approx(sum(caps.values()), rel=1e-12)
 
 
-def test_index_command_calibrates_planted_power(tmp_path, capsys):
+# the reference file follows the csv rules of every input: quoted cells and bare-CR line ends
+@pytest.mark.parametrize("quote, newline", [("", "\n"), ('"', "\r")], ids=["plain", "quoted-cr"])
+def test_index_command_calibrates_planted_power(tmp_path, capsys, quote, newline):
     mcaps = tmp_path / "mcaps.csv"
     write_mcaps(mcaps, days=40)
     # reference generated at power 8 from the daily cap sums; the default power is 7
@@ -83,10 +85,10 @@ def test_index_command_calibrates_planted_power(tmp_path, capsys):
     ref_lines = ["date,btc_price"]
     for i in range(40):
         total = sum((1 + j) * 1e9 + i * 1e7 for j in range(3))
-        ref_lines.append(f"{(start + timedelta(days=i)).isoformat()},"
-                         f"{total / math.log10(total) ** 8}")
+        ref_lines.append(f"{quote}{(start + timedelta(days=i)).isoformat()}{quote},"
+                         f"{quote}{total / math.log10(total) ** 8}{quote}")
     reference = tmp_path / "btc.csv"
-    reference.write_text("\n".join(ref_lines) + "\n")
+    reference.write_bytes((newline.join(ref_lines) + newline).encode())
 
     out = tmp_path / "index.csv"
     fitms = tmp_path / "fit.csv"
@@ -109,6 +111,10 @@ def test_index_command_missing_file(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+# the csv module rejects a field longer than 131,072 characters
+HUGE = "1" * 200_000
+
+
 @pytest.mark.parametrize("row, problem", [
     ("2020-01-05,nan", "non-finite value 'nan'"),
     ("2020-01-05,-inf", "non-finite value '-inf'"),
@@ -116,7 +122,8 @@ def test_index_command_missing_file(tmp_path, capsys):
     ("20200105,1000.0", "bad row '20200105,1000.0'"),
     ("2020-01-05,1_000", "bad row '2020-01-05,1_000'"),
     ("2020-01-05,1000.0,7", "bad row '2020-01-05,1000.0,7'"),
-], ids=["nan", "inf", "repeated-date", "basic-date", "underscore", "wide-row"])
+    (f"2020-01-05,{HUGE}", "field larger than field limit (131072)"),
+], ids=["nan", "inf", "repeated-date", "basic-date", "underscore", "wide-row", "oversized"])
 def test_index_calibrate_rejects_bad_reference_row(tmp_path, capsys, row, problem):
     mcaps = tmp_path / "mcaps.csv"
     write_mcaps(mcaps, days=40)
@@ -149,10 +156,6 @@ def test_index_calibrate_rejects_a_reference_header_of_other_than_date_and_one_v
     assert not out.exists()
 
 
-# the csv module rejects a field longer than 131,072 characters
-HUGE = "1" * 200_000
-
-
 def test_index_oversized_field_is_one_error_line(tmp_path, capsys):
     mcaps = tmp_path / "mcaps.csv"
     write_mcaps(mcaps, days=3)
@@ -175,18 +178,23 @@ def test_run_oversized_field_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("flags, named", [
     (["--top-n", "0"], "--top-n, --power: top_n must be >= 1, got 0"),
     (["--power", "0"], "--top-n, --power: power must be >= 1, got 0"),
-    (["--calibrate", "--candidates", "5,x"], "--candidates: invalid literal for int()"),
-], ids=["top-n", "power", "candidates"])
-def test_index_bad_flag_value_names_the_flag(tmp_path, capsys, flags, named):
-    mcaps = tmp_path / "mcaps.csv"
-    write_mcaps(mcaps, days=40)
-    reference = tmp_path / "btc.csv"
-    reference.write_text("date,btc_price\n2020-01-01,1000.0\n")
-    out = tmp_path / "index.csv"
-    assert main(["index", "--mcaps", str(mcaps), "--out", str(out),
-                 "--reference", str(reference), *flags]) == 1
+    (["--calibrate", "--candidates", "5,x"],
+     "--candidates: expected a list of integers >= 1, got [5, 'x']"),
+    (["--calibrate", "--candidates", "٧"], "--candidates: expected a list of integers >= 1"),
+    (["--calibrate", "--candidates", "1_0"], "--candidates: expected a list of integers >= 1"),
+    (["--calibrate", "--candidates", "0"], "--candidates: expected a list of integers >= 1"),
+    (["--calibrate", "--candidates", "5,0", "--fit-out", "fit.csv"],
+     "--candidates: expected a list of integers >= 1, got [5, 0]"),
+], ids=["top-n", "power", "candidates", "candidates-non-ascii", "candidates-underscore",
+        "candidates-zero", "candidates-with-a-zero"])
+def test_index_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)
+    write_mcaps(tmp_path / "mcaps.csv", days=40)
+    (tmp_path / "btc.csv").write_text("date,btc_price\n2020-01-01,1000.0\n")
+    assert main(["index", "--mcaps", "mcaps.csv", "--out", "index.csv",
+                 "--reference", "btc.csv", *flags]) == 1
     assert capsys.readouterr().err.startswith(f"error: bad value for {named}")
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["btc.csv", "mcaps.csv"]
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -807,7 +815,9 @@ def test_periods_override_colliding_years_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("windows", ["0", "abc", "7,1.5"])
+@pytest.mark.parametrize("windows", [
+    "0", "abc", "7,1.5", pytest.param("٧", id="non-ascii"),
+    pytest.param("7,٣٠", id="non-ascii-item"), pytest.param("1_0", id="underscore")])
 def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     config, out_dir, _ = small_setup(tmp_path)
     assert main(["run", "--config", str(config), "--windows", windows]) == 1

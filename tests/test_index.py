@@ -142,6 +142,13 @@ def test_calibrate_candidate_order_invariant():
     assert a == b
 
 
+@pytest.mark.parametrize("powers, low", [((0, 7), 0), ((7, -2, 5), -2)])
+def test_calibrate_rejects_a_power_below_one(powers, low):
+    sums = _sum_series(seed=4)
+    with pytest.raises(ValueError, match=f"candidate powers must be >= 1, got {low}"):
+        calibrate_power(sums, _reference_from(sums, 7), powers)
+
+
 def test_calibrate_needs_overlap():
     sums = _sum_series(n=10)
     with pytest.raises(ValueError, match="at least 30"):

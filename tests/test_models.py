@@ -446,6 +446,26 @@ def test_grid_empty_rejected():
         grid_search_cv(np.zeros((10, 1)), np.zeros(10), [], k=2, seed=0)
 
 
+@pytest.mark.parametrize("grid, kind, last_axis, last_values", [
+    (models.default_rf_grid, ModelKind.RANDOM_FOREST, "features_per_split", (1 / 3, None)),
+    (models.default_gbt_grid, ModelKind.GRADIENT_BOOST, "learning_rate", (0.05, 0.1)),
+], ids=["rf", "gbt"])
+def test_default_grid_candidates_in_order(grid, kind, last_axis, last_values):
+    # grid_search_cv breaks a tie by grid order, so the order is part of the grid
+    expected = []
+    for n_estimators in (100, 300):
+        for max_depth in (4, 8, 16):
+            for min_samples_split in (2, 10):
+                for last in last_values:
+                    expected.append(EnsembleParams(
+                        kind=kind, n_estimators=n_estimators, max_depth=max_depth,
+                        min_samples_split=min_samples_split,
+                        bootstrap=kind is ModelKind.RANDOM_FOREST, **{last_axis: last}))
+    candidates = grid()
+    assert len(candidates) == 24
+    assert candidates == expected
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
