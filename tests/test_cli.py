@@ -75,20 +75,23 @@ def test_index_command_matches_op_oracle(tmp_path, capsys):
         assert float(total) == pytest.approx(sum(caps.values()), rel=1e-12)
 
 
-# the reference file follows the csv rules of every input: quoted cells and bare-CR line ends
-@pytest.mark.parametrize("quote, newline", [("", "\n"), ('"', "\r")], ids=["plain", "quoted-cr"])
-def test_index_command_calibrates_planted_power(tmp_path, capsys, quote, newline):
-    mcaps = tmp_path / "mcaps.csv"
-    write_mcaps(mcaps, days=40)
-    # reference generated at power 8 from the daily cap sums; the default power is 7
+def write_planted_reference(path, quote="", newline="\n"):
+    """A 40-day reference generated at power 8 from write_mcaps' daily cap sums."""
     start = date(2020, 1, 1)
     ref_lines = ["date,btc_price"]
     for i in range(40):
         total = sum((1 + j) * 1e9 + i * 1e7 for j in range(3))
         ref_lines.append(f"{quote}{(start + timedelta(days=i)).isoformat()}{quote},"
                          f"{quote}{total / math.log10(total) ** 8}{quote}")
+    path.write_bytes((newline.join(ref_lines) + newline).encode())
+
+
+def test_index_command_calibrates_planted_power(tmp_path, capsys):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=40)
+    # the default power is 7
     reference = tmp_path / "btc.csv"
-    reference.write_bytes((newline.join(ref_lines) + newline).encode())
+    write_planted_reference(reference)
 
     out = tmp_path / "index.csv"
     fitms = tmp_path / "fit.csv"
@@ -102,6 +105,16 @@ def test_index_command_calibrates_planted_power(tmp_path, capsys, quote, newline
     assert len(chosen) == 1 and chosen[0].startswith("8,")
     # index output re-uses the calibrated power
     assert out.read_text().splitlines()[1].endswith(",8")
+
+
+def test_index_calibrate_reads_quoted_reference_cells_and_bare_cr_line_ends(tmp_path, capsys):
+    # the reference file follows the csv rules of every input file
+    write_mcaps(tmp_path / "mcaps.csv", days=40)
+    write_planted_reference(tmp_path / "btc.csv", quote='"', newline="\r")
+    assert main(["index", "--mcaps", str(tmp_path / "mcaps.csv"),
+                 "--out", str(tmp_path / "index.csv"),
+                 "--calibrate", "--reference", str(tmp_path / "btc.csv")]) == 0
+    assert "calibrated power: 8" in capsys.readouterr().out
 
 
 def test_index_command_missing_file(tmp_path, capsys):
