@@ -1,20 +1,22 @@
 """Paired benchmark comparison of two revisions, on the end-to-end metrics of BENCHMARK.json.
 
-    python3 bench/compare.py --base REV [--change REV] [--pairs 10] [--seconds 8] [--seed 7]
+    python3 bench/compare.py --base REV [--change REV] [--pairs 10] [--seconds 8]
 
 Run it from inside the git checkout. It exports each revision with
 `git archive` into a temporary directory and byte-compiles its `src/`, so
 that neither side's times depend on bytecode left in a checkout. Then it
 makes `--pairs` pairs of runs of `perfbench/run.py --trace 0` per workload,
-each run in its revision's tree. Both runs of a pair read the same
-`--seed`, and the side that runs first alternates from pair to pair, so
-that a drift in the machine's speed falls on both sides alike.
+each run in its revision's tree. Every run reads perfbench seed 7, the
+seed of the recorded artifact hashes, and the side that runs first
+alternates from pair to pair, so that a drift in the machine's speed falls
+on both sides alike.
 
 Each run's metrics go to stderr as it finishes. At the end, one table per
 workload gives for each end-to-end metric both medians, the base's
 interquartile range as a share of its median, the median of the per-pair
 ratios change/base, and the pairs that the change won (ties count for
-neither side). It exits 1 if any run was not `correct`.
+neither side). A run that is not `correct` stops the comparison with exit
+1, before any table: its metrics are not measurements.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from record import ROOT, perfbench_run
+
+SEED = 7
 
 
 def summarize(base: list[float], change: list[float], better: str) -> dict:
@@ -53,22 +57,12 @@ def export(rev: str, tree: Path) -> Path:
     return tree
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One `perfbench/run.py --trace 0` run in tree: its detail record and its result line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                           check=True).stdout.splitlines()
-    return json.loads(lines[-2]), json.loads(lines[-1])
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision compared against")
     parser.add_argument("--change", default="HEAD", help="the revision under test")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0, help="seconds per perfbench run")
-    parser.add_argument("--seed", type=int, default=7, help="perfbench input seed")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -79,22 +73,25 @@ def main(argv: list[str] | None = None) -> int:
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
         values = {}     # (workload, side) -> metric -> one value per pair
         hashes = {}     # (workload, side) -> artifact tree SHA-256s seen
-        correct = True
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for workload in (w["name"] for w in spec["workloads"]):
                 for side in order:
-                    detail, result = perfbench(sides[side], workload, args.seed, args.seconds)
-                    correct &= result["correct"]
-                    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+                    run = perfbench_run(workload, SEED, args.seconds, 0, root=sides[side])
+                    metrics = {name: m["value"] for name, m in run["metrics"].items()}
+                    print(json.dumps({"pair": i, "workload": workload, "side": side,
+                                      "correct": run["correct"], **metrics}),
+                          file=sys.stderr)
+                    if not run["correct"]:
+                        print(f"error: {workload} on {side} ({getattr(args, side)}) was not "
+                              f"correct: {run['failed']} of {run['attempted']} operations "
+                              f"failed; problems: {run['detail']['problems']}", file=sys.stderr)
+                        return 1
                     for name, value in metrics.items():
                         values.setdefault((workload, side), {}).setdefault(name, []).append(value)
-                    hashes.setdefault((workload, side), set()).add(detail["artifact_sha256"])
-                    print(json.dumps({"pair": i, "workload": workload, "side": side,
-                                      "correct": result["correct"], **metrics}),
-                          file=sys.stderr)
+                    hashes.setdefault((workload, side), set()).add(run["detail"]["artifact_sha256"])
 
-    print(f"base {args.base}, change {args.change}: {args.pairs} pairs, seed {args.seed}, "
+    print(f"base {args.base}, change {args.change}: {args.pairs} pairs, seed {SEED}, "
           f"{args.seconds:g} s per run")
     for workload in (w["name"] for w in spec["workloads"]):
         same = hashes[(workload, "base")] == hashes[(workload, "change")]
@@ -108,9 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:<12} {s['base_median']:>9.3f} {s['change_median']:>9.3f} "
                   f"{s['base_iqr_share']:>8.1%} {s['median_ratio']:>7.3f} "
                   f"{s['won']}/{s['pairs']}")
-    if not correct:
-        print("error: a run was not correct; its stderr line says which", file=sys.stderr)
-    return 0 if correct else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,11 +37,12 @@ from synthetic import write_corpus, write_run_config  # noqa: E402
 WORKLOADS = ("study", "wide_ingest", "explain")
 
 
-def perfbench_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its detail record and its result line."""
+def perfbench_run(workload: str, seed: int, seconds: float, trace: int,
+                  root: Path = ROOT) -> dict:
+    """One perfbench run in the checkout root: its detail record and its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    lines = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+    lines = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                            check=True).stdout.splitlines()
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     detail.pop("environment", None)     # recorded once for the whole file

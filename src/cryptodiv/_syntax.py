@@ -32,9 +32,17 @@ def parse_number(text: str) -> float:
 
 
 def csv_rows(lines, path: Path, error: type[ValueError] = ValueError, first_line: int = 1):
-    """csv.reader(lines), with a csv.Error (an oversized field, say) raised as `error` at its line."""
+    """(line, row) for each record of csv.reader(lines), line being the file line it starts on.
+
+    A record whose quoted cell spans lines still names its first line, and the
+    records after it their own. A csv.Error (an oversized field, say) is raised
+    as `error` at its line.
+    """
     reader = csv.reader(lines)
+    start = first_line
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = first_line + reader.line_num
     except csv.Error as exc:
         raise error(f"{path}:{first_line - 1 + reader.line_num}: {exc}") from None

@@ -195,7 +195,7 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
     if not csv_path.is_file():
         raise ManifestError(f"data file not found: {csv_path}")
     with open(csv_path, newline="") as fh:
-        header = next(csv_rows(fh, csv_path, ManifestError), None)
+        _, header = next(csv_rows(fh, csv_path, ManifestError), (1, None))
         if header is None:
             raise ManifestError(f"{csv_path}: empty file")
         if not header or header[0] != "date":
@@ -289,8 +289,7 @@ def _parse_body(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _raise_first_bad_row(csv_path: Path, body: str, metrics: list[str]) -> NoReturn:
     """Raise the error for the first row of `body` that breaks a rule, read cell by cell."""
-    rows = csv_rows(io.StringIO(body, newline=""), csv_path, ManifestError, first_line=2)
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in csv_rows(io.StringIO(body, newline=""), csv_path, ManifestError, first_line=2):
         if not "".join(row).strip():
             continue
         try:

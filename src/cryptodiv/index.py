@@ -146,10 +146,10 @@ def load_reference_csv(path: str | Path) -> dict[date, float]:
     out: dict[date, float] = {}
     with open(path, newline="") as fh:
         rows = csv_rows(fh, path)
-        header = next(rows, [])
+        _, header = next(rows, (1, []))
         if len(header) != 2 or header[0].strip() != "date":
             raise ValueError(f"{path}: expected a 'date,<metric>' header")
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             line = ",".join(row).strip()
             if not line:
                 continue
@@ -191,9 +191,9 @@ _CHUNK_CHARS = 1 << 17
 
 
 def _caps_rows(fh, path: Path):
-    """The csv rows of an open market-cap file after its checked header."""
+    """The (line, row) pairs of an open market-cap file after its checked header."""
     rows = csv_rows(fh, path)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header] != ["date", "asset", "market_cap_usd"]:
         raise ValueError(f"{path}: expected header date,asset,market_cap_usd")
     return rows
@@ -248,7 +248,7 @@ def _read_caps_by_row(path: Path) -> dict[date, dict[str, float]]:
     """{day: {asset: cap}}, read one row at a time; raises for the first bad row."""
     per_day: dict[date, dict[str, float]] = {}
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(_caps_rows(fh, path), start=2):
+        for lineno, row in _caps_rows(fh, path):
             if not "".join(row).strip():
                 continue
             if len(row) > 3:

@@ -153,6 +153,21 @@ def test_index_calibrate_rejects_bad_reference_row(tmp_path, capsys, row, proble
     assert not out.exists()
 
 
+def test_index_calibrate_names_the_file_line_after_a_quoted_cell_over_two_lines(
+        tmp_path, capsys):
+    mcaps = tmp_path / "mcaps.csv"
+    write_mcaps(mcaps, days=40)
+    lines = ["date,btc_price", '"2020-01-01', '",1000.0']   # one row on file lines 2-3
+    lines += [f"{(date(2020, 1, 1) + timedelta(days=i)).isoformat()},{1000.0 + i}"
+              for i in range(1, 40)]
+    lines.insert(5, "2020-01-05,x")   # file line 6
+    reference = tmp_path / "btc.csv"
+    reference.write_text("\n".join(lines) + "\n")
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(tmp_path / "index.csv"),
+                 "--calibrate", "--reference", str(reference)]) == 1
+    assert capsys.readouterr().err == f"error: {reference}:6: bad row '2020-01-05,x'\n"
+
+
 @pytest.mark.parametrize("header", ["date,btc_price,volume", "date,btc_price,"])
 def test_index_calibrate_rejects_a_reference_header_of_other_than_date_and_one_value(
         tmp_path, capsys, header):

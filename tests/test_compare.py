@@ -28,3 +28,26 @@ def test_summary_of_a_higher_is_better_metric_counts_the_other_way():
     assert s["won"] == 2 and s["base_iqr_share"] == 0.0
     # per-pair ratios 1.5, 0.5, 1.0, 2.0
     assert s["median_ratio"] == pytest.approx(1.25)
+
+
+def failed_run(workload, seed, seconds, trace, root):
+    # perfbench reports the metrics of a run with a failed operation as 0
+    return {"correct": False, "attempted": 3, "failed": 1,
+            "detail": {"artifact_sha256": "0" * 64, "problems": ["run exited 1"]},
+            "metrics": {"wall_s": {"value": 0.0, "unit": "s"}}}
+
+
+def test_a_run_that_is_not_correct_stops_the_comparison_with_exit_1(monkeypatch, capsys):
+    import compare
+
+    def export(rev, tree):
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text((compare.ROOT / "BENCHMARK.json").read_text())
+        return tree
+
+    monkeypatch.setattr(compare, "export", export)
+    monkeypatch.setattr(compare, "perfbench_run", failed_run)
+    assert compare.main(["--base", "A", "--change", "B", "--pairs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""   # no table from metrics that are not measurements
+    assert "error: study on base (A) was not correct: 1 of 3 operations failed" in captured.err

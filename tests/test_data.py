@@ -160,6 +160,14 @@ def test_load_corpus_names_the_line_of_an_oversized_field(tmp_path, text, line):
         load_corpus(tmp_path / "manifest.json")
 
 
+def test_load_corpus_names_the_file_line_after_a_quoted_cell_over_two_lines(tmp_path):
+    # the first row spans file lines 2-3; the bad value is on line 4
+    (tmp_path / "a.csv").write_text('date,m1\n"2019-01-01\n",1\n2019-01-02,x\n')
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
+    with pytest.raises(ManifestError, match=r"a\.csv:4: bad value 'x' for 'm1'"):
+        load_corpus(tmp_path / "manifest.json")
+
+
 def test_load_corpus_names_the_line_of_a_nul_byte(tmp_path):
     # Python 3.10's csv module stops at a NUL; later versions read it as a character
     (tmp_path / "a.csv").write_text("date,m1\n2019-01-01,1\n2019-01-02,1\x00\n")

@@ -249,6 +249,16 @@ def test_load_mcap_csv_names_the_line_of_an_oversized_field(tmp_path, text, line
         load_mcap_csv(path)
 
 
+def test_load_mcap_csv_names_the_file_line_after_a_quoted_cell_over_two_lines(tmp_path):
+    from cryptodiv.index import load_mcap_csv
+
+    path = tmp_path / "caps.csv"
+    # the first row spans file lines 2-3; the bad cap is on line 4
+    path.write_text('date,asset,market_cap_usd\n"2020-01-01\n",BTC,1e9\n2020-01-02,BTC,abc\n')
+    with pytest.raises(ValueError, match=r"caps\.csv:4: bad market-cap row"):
+        load_mcap_csv(path)
+
+
 @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
 def test_snapshot_rejects_non_finite_cap(cap):
     with pytest.raises(ValueError, match="non-finite market cap"):
