@@ -32,12 +32,7 @@ def parse_number(text: str) -> float:
 
 
 def csv_rows(lines, path: Path, error: type[ValueError] = ValueError, first_line: int = 1):
-    """(line, row) for each record of csv.reader(lines), line being the file line it starts on.
-
-    A record whose quoted cell spans lines still names its first line, and the
-    records after it their own. A csv.Error (an oversized field, say) is raised
-    as `error` at its line.
-    """
+    """Each csv record as (its first file line, row); a csv.Error raised as `error` at its line."""
     reader = csv.reader(lines)
     start = first_line
     try:

@@ -193,8 +193,8 @@ _CHUNK_CHARS = 1 << 17
 def _caps_rows(fh, path: Path):
     """The (line, row) pairs of an open market-cap file after its checked header."""
     rows = csv_rows(fh, path)
-    _, header = next(rows, (1, None))
-    if header is None or [h.strip() for h in header] != ["date", "asset", "market_cap_usd"]:
+    _, header = next(rows, (1, []))
+    if [h.strip() for h in header] != ["date", "asset", "market_cap_usd"]:
         raise ValueError(f"{path}: expected header date,asset,market_cap_usd")
     return rows
 
