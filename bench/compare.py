@@ -14,9 +14,13 @@ on both sides alike.
 Each run's metrics go to stderr as it finishes. At the end, one table per
 workload gives for each end-to-end metric both medians, the base's
 interquartile range as a share of its median, the median of the per-pair
-ratios change/base, and the pairs that the change won (ties count for
-neither side). A run that is not `correct` stops the comparison with exit
-1, before any table: its metrics are not measurements.
+ratios change/base with its sign-test interval, the pairs that the change
+won (ties count for neither side), and whether the claim rule holds: at
+least ten pairs, of which the change wins at least nine tenths, and medians
+that differ by more than the base's interquartile range, in the metric's
+better direction. A run that is
+not `correct` stops the comparison with exit 1, before any table: its
+metrics are not measurements.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -35,15 +40,37 @@ from record import ROOT, perfbench_run
 SEED = 7
 
 
+def sign_test_rank(n: int) -> tuple[int, float]:
+    """(k, level): k is the largest rank with P(Binomial(n, 1/2) < k) <= 0.025, 0 when none is.
+
+    The k-th smallest and k-th largest of n paired ratios bound their median
+    with probability `level`, whatever their distribution.
+    """
+    k = below = 0   # below = 2^n P(Binomial(n, 1/2) < k)
+    while (below + math.comb(n, k)) / 2 ** n <= 0.025:
+        below += math.comb(n, k)
+        k += 1
+    return k, 1 - 2 * below / 2 ** n
+
+
 def summarize(base: list[float], change: list[float], better: str) -> dict:
-    """The paired summary of one metric; base[i] and change[i] come from pair i."""
+    """The paired summary of one metric; base[i] and change[i] come from pair i.
+
+    ratio_interval is None when there are too few pairs for a sign-test interval.
+    """
     q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
-    base_median = statistics.median(base)
+    base_median, change_median = statistics.median(base), statistics.median(change)
     won = sum(c < b if better == "lower" else c > b for b, c in zip(base, change))
-    return {"base_median": base_median, "change_median": statistics.median(change),
+    ratios = sorted(c / b for b, c in zip(base, change))
+    k, level = sign_test_rank(len(ratios))
+    gain = base_median - change_median if better == "lower" else change_median - base_median
+    return {"base_median": base_median, "change_median": change_median,
             "base_iqr_share": (q3 - q1) / base_median,
-            "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
-            "won": won, "pairs": len(base)}
+            "median_ratio": statistics.median(ratios),
+            "ratio_interval": (ratios[k - 1], ratios[-k]) if k else None,
+            "interval_level": level,
+            "won": won, "pairs": len(base),
+            "claim": len(base) >= 10 and 10 * won >= 9 * len(base) and gain > q3 - q1}
 
 
 def export(rev: str, tree: Path) -> Path:
@@ -91,20 +118,26 @@ def main(argv: list[str] | None = None) -> int:
                         values.setdefault((workload, side), {}).setdefault(name, []).append(value)
                     hashes.setdefault((workload, side), set()).add(run["detail"]["artifact_sha256"])
 
+    k, level = sign_test_rank(args.pairs)
     print(f"base {args.base}, change {args.change}: {args.pairs} pairs, seed {SEED}, "
-          f"{args.seconds:g} s per run")
+          f"{args.seconds:g} s per run; ratio interval: "
+          + (f"ratios {k} and {args.pairs + 1 - k} of {args.pairs}, {level:.1%}" if k
+             else "none at this many pairs"))
     for workload in (w["name"] for w in spec["workloads"]):
         same = hashes[(workload, "base")] == hashes[(workload, "change")]
         print(f"\n{workload}: artifacts {'identical' if same else 'DIFFER'} "
               f"({', '.join(sorted(h[:8] for h in hashes[(workload, 'change')]))})")
-        print(f"  {'metric':<12} {'base':>9} {'change':>9} {'base IQR':>9} {'ratio':>7} won")
+        print(f"  {'metric':<12} {'base':>9} {'change':>9} {'base IQR':>9} {'ratio':>7} "
+              f"{'ratio interval':>15} {'won':>5} claim")
         for metric in spec["end_to_end"]:
             name = metric["name"]
             s = summarize(values[(workload, "base")][name], values[(workload, "change")][name],
                           metric["better"])
+            interval = s["ratio_interval"]
+            shown = "-" if interval is None else f"{interval[0]:.3f}-{interval[1]:.3f}"
             print(f"  {name:<12} {s['base_median']:>9.3f} {s['change_median']:>9.3f} "
-                  f"{s['base_iqr_share']:>8.1%} {s['median_ratio']:>7.3f} "
-                  f"{s['won']}/{s['pairs']}")
+                  f"{s['base_iqr_share']:>8.1%} {s['median_ratio']:>7.3f} {shown:>15} "
+                  f"{s['won']:>2}/{s['pairs']:<2} {'yes' if s['claim'] else 'no'}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The date, number and csv syntax of every input file, the same on every supported Python.
+"""Input date, number and csv syntax, and float summation order: the same on every supported Python.
 
 A date is exactly `YYYY-MM-DD`: from Python 3.11 on, `date.fromisoformat` alone
 also reads `20190101` and `2019-W01-3`. A number is what `float` reads from an
@@ -9,8 +9,10 @@ ASCII text without `_` digit separators. That is the syntax of numpy's C parser
 from __future__ import annotations
 
 import csv
+import operator
 import re
 from datetime import date
+from functools import reduce
 from pathlib import Path
 
 _DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -41,3 +43,8 @@ def csv_rows(lines, path: Path, error: type[ValueError] = ValueError, first_line
             start = first_line + reader.line_num
     except csv.Error as exc:
         raise error(f"{path}:{first_line - 1 + reader.line_num}: {exc}") from None
+
+
+def sum_in_order(values) -> float:
+    """The float sum of `values`, added left to right: builtin `sum` compensates from Python 3.12 on."""
+    return float(reduce(operator.add, values, 0.0))

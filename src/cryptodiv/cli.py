@@ -41,19 +41,15 @@ class RunConfig:
     output_dir: Path
     periods: tuple[date, ...] = (date(2017, 1, 1), date(2019, 1, 1))
     windows: tuple[int, ...] = (1, 7, 30, 90, 180)
-    flat_run_max: int = 60
-    missing_ratio_max: float = 0.20
+    flat_run_max: int = data.FLAT_RUN_MAX
+    missing_ratio_max: float = data.MISSING_RATIO_MAX
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     index_input: Path | None = None       # optional mcaps CSV to build the target index
     index_params: index.IndexParams = field(default_factory=index.IndexParams)
     jobs: int = 1
 
     def __post_init__(self):
-        # a lone observed value is a constant run of 1, so 1 would drop every column
-        if self.flat_run_max < 2:
-            raise ValueError(f"flat_run_max must be >= 2, got {self.flat_run_max}")
-        if not 0.0 <= self.missing_ratio_max <= 1.0:
-            raise ValueError(f"missing_ratio_max must be in [0, 1], got {self.missing_ratio_max}")
+        data.check_thresholds(self.flat_run_max, self.missing_ratio_max)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -277,8 +273,7 @@ def _prepare_corpus(cfg: RunConfig):
     if unknown:
         raise ConfigError(f"indicator_sources names metric(s) {unknown} that are neither in the "
                           f"manifest nor the index target")
-    cleaned, drop_log, imputed = data.clean_corpus(
-        corpus, flat_run_max=cfg.flat_run_max, missing_ratio_max=cfg.missing_ratio_max)
+    cleaned, drop_log, imputed = data.clean_corpus(corpus, cfg.flat_run_max, cfg.missing_ratio_max)
     cleaned = indicators.augment_corpus(cleaned, pipeline.indicator_sources,
                                         pipeline.indicator_windows)
     return cleaned, drop_log, imputed, index_rows

@@ -415,10 +415,23 @@ def longest_flat_run(values: np.ndarray) -> int:
     return 1 + int((edges[1::2] - edges[::2]).max(initial=0))
 
 
+FLAT_RUN_MAX = 60
+MISSING_RATIO_MAX = 0.20
+
+
+def check_thresholds(flat_run_max: int, missing_ratio_max: float) -> None:
+    """ValueError unless flat_run_max >= 2 and missing_ratio_max is in [0, 1]."""
+    # a lone observed value is a constant run of 1, so 1 would drop every column
+    if flat_run_max < 2:
+        raise ValueError(f"flat_run_max must be >= 2, got {flat_run_max}")
+    if not 0.0 <= missing_ratio_max <= 1.0:
+        raise ValueError(f"missing_ratio_max must be in [0, 1], got {missing_ratio_max}")
+
+
 def drop_degenerate(
     columns: Mapping[str, np.ndarray],
-    flat_run_max: int = 60,
-    missing_ratio_max: float = 0.20,
+    flat_run_max: int = FLAT_RUN_MAX,
+    missing_ratio_max: float = MISSING_RATIO_MAX,
 ) -> tuple[dict[str, np.ndarray], list[DropRecord]]:
     """Drop columns that are flat or gappy for very long stretches.
 
@@ -428,6 +441,7 @@ def drop_degenerate(
     ratio: late-starting metrics are a slice_period concern, not a data
     quality defect. Each dropped column gets exactly one reason.
     """
+    check_thresholds(flat_run_max, missing_ratio_max)
     kept: dict[str, np.ndarray] = {}
     log: list[DropRecord] = []
     for name in sorted(columns):
@@ -451,8 +465,8 @@ def drop_degenerate(
 
 def clean_corpus(
     corpus: Mapping[str, MetricSeries],
-    flat_run_max: int = 60,
-    missing_ratio_max: float = 0.20,
+    flat_run_max: int = FLAT_RUN_MAX,
+    missing_ratio_max: float = MISSING_RATIO_MAX,
 ) -> tuple[Dataset, list[DropRecord], dict[str, int]]:
     """Run the full cleaning pipeline over a raw corpus.
 

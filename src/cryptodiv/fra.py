@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .importance import ImportanceReport, mdi, pearson_abs, pfi
+from .importance import ImportanceReport, mdi, pearson_report, pfi
 from .models import (EnsembleParams, ModelKind, TreeEnsemble, default_gbt_grid,
                      default_rf_grid, fit_forest, fit_gbt, grid_search_cv)
 from .seeding import derive_seed
@@ -171,8 +171,7 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
         raise ValueError("dataset has no features")
 
     rf_params, gbt_params = _resolve_params(dataset, original, config)
-    target = dataset.target
-    correlation = {f: pearson_abs(dataset.features[f], target) for f in original}
+    correlation = pearson_report(dataset.features, dataset.target).scores
 
     current = list(original)
     records: list[IterationRecord] = []

@@ -58,16 +58,14 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def pearson_abs(x: np.ndarray, y: np.ndarray) -> float:
-    """|r|, treating constant columns as 0 for pipeline use."""
-    try:
-        return abs(pearson(x, y))
-    except ConstantColumnError:
-        return 0.0
-
-
 def pearson_report(features: Mapping[str, np.ndarray], target: np.ndarray) -> ImportanceReport:
-    scores = {name: pearson_abs(col, target) for name, col in features.items()}
+    """|r| of each feature with the target; a constant column scores 0."""
+    scores = {}
+    for name, col in features.items():
+        try:
+            scores[name] = abs(pearson(col, target))
+        except ConstantColumnError:
+            scores[name] = 0.0
     return ImportanceReport("pearson", scores, {"absolute": True})
 
 

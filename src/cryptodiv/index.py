@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from datetime import date
-from functools import reduce
 from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._syntax import csv_rows, parse_day, parse_number
+from ._syntax import csv_rows, parse_day, parse_number, sum_in_order
 
 
 class IndexDomainError(ValueError):
@@ -71,13 +69,12 @@ def select_top_n(snapshot: McapSnapshot, n: int) -> list[str]:
 def top_n_cap(snapshot: McapSnapshot, n: int) -> float:
     """S, the summed market cap of the snapshot's top-n constituents.
 
-    Adds the n largest caps left to right in descending order: the caps of
-    `select_top_n`, in its order, since symbols only break ties between equal
-    caps. Builtin `sum` would compensate from Python 3.12 on.
+    Adds the n largest caps in descending order: the caps of `select_top_n`,
+    in its order, since symbols only break ties between equal caps.
     """
     if not snapshot.caps:
         raise ValueError(f"{snapshot.date}: empty snapshot")
-    return float(reduce(operator.add, sorted(snapshot.caps.values(), reverse=True)[:n], 0.0))
+    return sum_in_order(sorted(snapshot.caps.values(), reverse=True)[:n])
 
 
 def crypto100(snapshot: McapSnapshot, params: IndexParams = IndexParams()) -> float:
@@ -204,9 +201,10 @@ def _read_caps_in_bulk(path: Path) -> dict[date, dict[str, float]] | None:
 
     Streams the file in chunks of lines. One `np.loadtxt` call cuts a chunk
     into rows of three cells and parses its caps (the same bits as `float`),
-    and one check finds any non-finite cap. Each distinct date cell is parsed
-    once, and each run of rows on one date joins its day in one dict update.
-    A quote sends the file to the row-by-row reader, which reads csv quoting.
+    and one check finds any negative or non-finite cap. Each distinct date
+    cell is parsed once, and each run of rows on one date joins its day in
+    one dict update. A quote sends the file to the row-by-row reader, which
+    reads csv quoting.
     """
     per_day: dict[date, dict[str, float]] = {}
     day_of: dict[str, dict[str, float]] = {}  # date cell -> its day in per_day
@@ -223,7 +221,8 @@ def _read_caps_in_bulk(path: Path) -> dict[date, dict[str, float]] | None:
                 rows = np.loadtxt(chunk, delimiter=",", dtype=_CAP_ROW, comments=None, ndmin=1)
             except ValueError:
                 return None
-            if not np.isfinite(rows["cap"]).all():
+            # NaN fails both comparisons
+            if not ((rows["cap"] >= 0) & (rows["cap"] < np.inf)).all():
                 return None
             symbols = list(map(sys.intern, map(str.strip, rows["asset"].tolist())))
             caps = rows["cap"].tolist()
@@ -260,6 +259,8 @@ def _read_caps_by_row(path: Path) -> dict[date, dict[str, float]]:
                 raise ValueError(f"{path}:{lineno}: bad market-cap row {row!r}") from None
             if not math.isfinite(cap):
                 raise ValueError(f"{path}:{lineno}: non-finite market cap {row[2].strip()!r}")
+            if cap < 0:     # -0 is not negative
+                raise ValueError(f"{path}:{lineno}: negative market cap {row[2].strip()!r}")
             symbol = row[1].strip()
             day = per_day.setdefault(d, {})
             if symbol in day:

@@ -175,12 +175,13 @@ class _NodeTable:
     def path_features(self) -> np.ndarray:
         """(n_nodes, max_depth) int32: row i holds the features split on above node i,
         by depth, padded with -1."""
-        path = np.full((len(self.feature), self.max_depth()), -1, dtype=np.int32)
+        levels = []     # per depth below the roots: (its nodes, their parents)
         level = self.roots
-        for depth in range(path.shape[1]):
-            parent = level[self.feature[level] >= 0]
+        while (parent := level[self.feature[level] >= 0]).size:
             level = np.concatenate((self.left[parent], self.right[parent]))
-            parent = np.concatenate((parent, parent))
+            levels.append((level, np.concatenate((parent, parent))))
+        path = np.full((len(self.feature), len(levels)), -1, dtype=np.int32)
+        for depth, (level, parent) in enumerate(levels):
             path[level] = path[parent]
             path[level, depth] = self.feature[parent]
         path.flags.writeable = False
@@ -188,12 +189,7 @@ class _NodeTable:
 
     def max_depth(self) -> int:
         """Depth of the deepest tree; a lone leaf has depth 0."""
-        level, depth = self.roots, -1
-        while level.size:
-            depth += 1
-            level = level[self.feature[level] >= 0]
-            level = np.concatenate((self.left[level], self.right[level]))
-        return depth
+        return self.path_features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -241,10 +237,6 @@ class TreeEnsemble:
         roots = self.nodes.roots[np.asarray(tree_indices, dtype=np.intp)]
         start = np.broadcast_to(roots, (len(X), len(roots)))
         return np.ascontiguousarray(self.nodes.value[self.nodes.leaves(X, start)].T)
-
-    def tree_feature_sets(self) -> list[np.ndarray]:
-        """Feature indices each tree actually splits on."""
-        return [np.unique(f[f >= 0]) for f in np.split(self.nodes.feature, self.nodes.roots[1:])]
 
     def combine_tree_total(self, total: np.ndarray) -> np.ndarray:
         """Predictions from a precomputed sum of per-tree outputs."""

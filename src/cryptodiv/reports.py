@@ -6,12 +6,11 @@ was absent from a period's runs).
 
 from __future__ import annotations
 
-import operator
 import os
-from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._syntax import sum_in_order
 from .data import Category, DropRecord
 from .experiments import (HorizonGroup, LONG_TERM_WINDOWS, SHORT_TERM_WINDOWS,
                           ScenarioResult, group_horizons, top_k, unique_top_k)
@@ -113,9 +112,7 @@ def render_improvement_by_category_csv(results: Sequence[ScenarioResult]) -> str
             values = [r.improvement.improvement_by_category[cat]
                       for r in grouped[period]
                       if cat in r.improvement.improvement_by_category]
-            # left to right: builtin sum would compensate from Python 3.12 on
-            total = reduce(operator.add, values, 0.0)
-            cells.append(f"{total / len(values):.2f}" if values else "-")
+            cells.append(f"{sum_in_order(values) / len(values):.2f}" if values else "-")
         lines.append(f"{label}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

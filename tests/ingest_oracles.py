@@ -73,6 +73,8 @@ def mcap_days(path: Path) -> list[tuple[date, dict[str, float]]]:
                 raise ValueError(f"{path}:{lineno}: bad market-cap row {row!r}") from None
             if not math.isfinite(cap):
                 raise ValueError(f"{path}:{lineno}: non-finite market cap {row[2].strip()!r}")
+            if cap < 0:     # -0 is not negative
+                raise ValueError(f"{path}:{lineno}: negative market cap {row[2].strip()!r}")
             symbol = row[1].strip()
             day = per_day.setdefault(d, {})
             if symbol in day:

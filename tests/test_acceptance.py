@@ -162,7 +162,8 @@ def test_criterion_5_importance_axioms():
         Xs[:, 0] = np.where(Xs[:, 0] > 0, Xs[:, 0] + 4, Xs[:, 0] - 4)
         ys = (Xs[:, 0] > 0).astype(float)
         step = fit_forest(Xs, ys, EnsembleParams(n_estimators=5, max_depth=5), seed=0)
-        assert all(set(map(int, s)) <= {0} for s in step.tree_feature_sets())
+        tree_blocks = np.split(step.nodes.feature, step.nodes.roots[1:])
+        assert all(set(block[block >= 0].tolist()) <= {0} for block in tree_blocks)
         pfi_report = pfi(step, Xs, ys, repeats=3, seed=1)
         assert pfi_report.scores["f1"] == 0.0 and pfi_report.scores["f2"] == 0.0
 

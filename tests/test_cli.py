@@ -193,6 +193,14 @@ def test_index_oversized_field_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {mcaps}:11: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("cap", ["-3", " -1e9 "])
+def test_index_names_the_file_line_of_a_negative_cap(tmp_path, capsys, cap):
+    mcaps = tmp_path / "mcaps.csv"
+    mcaps.write_text(f"date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-01,ETH,{cap}\n")
+    assert main(["index", "--mcaps", str(mcaps), "--out", str(tmp_path / "index.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {mcaps}:3: negative market cap {cap.strip()!r}\n"
+
+
 def test_run_oversized_field_is_one_error_line(tmp_path, capsys):
     (tmp_path / "a.csv").write_text(f"date,m1\n2019-01-01,1\n2019-01-02,{HUGE}\n")
     manifest = tmp_path / "manifest.json"

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from compare import summarize  # noqa: E402
+from compare import sign_test_rank, summarize  # noqa: E402
 
 
 def test_summary_of_a_lower_is_better_metric():
@@ -28,6 +28,49 @@ def test_summary_of_a_higher_is_better_metric_counts_the_other_way():
     assert s["won"] == 2 and s["base_iqr_share"] == 0.0
     # per-pair ratios 1.5, 0.5, 1.0, 2.0
     assert s["median_ratio"] == pytest.approx(1.25)
+
+
+def test_sign_test_interval_of_ten_pairs_is_the_2nd_and_9th_ratio():
+    assert sign_test_rank(10) == (2, pytest.approx(1 - 22 / 1024))   # 97.9%
+    base = [1.0] * 10
+    change = [0.80, 0.95, 0.90, 0.85, 1.02, 0.88, 0.70, 0.93, 0.91, 0.87]
+    s = summarize(base, change, "lower")
+    # sorted ratios: 0.70 0.80 0.85 0.87 0.88 0.90 0.91 0.93 0.95 1.02
+    assert s["ratio_interval"] == (0.80, 0.95)
+    assert s["interval_level"] == pytest.approx(0.9785, abs=1e-4)
+    assert s["median_ratio"] == pytest.approx(0.89)
+    # 9 of 10 pairs won, and with a base IQR of 0 any median difference counts
+    assert s["won"] == 9 and s["claim"]
+
+
+@pytest.mark.parametrize("better, base, change, claim", [
+    # 10/10 won, and the medians differ by 0.3, more than the base IQR of 0.15
+    ("lower", [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0],
+     [0.7, 0.8, 0.6, 0.7, 0.9, 0.5, 0.7, 0.8, 0.6, 0.7], True),
+    # 10/10 won, but the medians differ by 0.1, less than the base IQR of 0.15
+    ("lower", [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0],
+     [0.9, 1.0, 0.8, 0.9, 1.1, 0.7, 0.9, 1.0, 0.8, 0.9], False),
+    # 8/10 won: the medians differ by enough, the pairs do not
+    ("lower", [1.0] * 10, [0.5] * 8 + [1.5] * 2, False),
+    # the same numbers on a higher-is-better metric are a loss
+    ("higher", [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0],
+     [0.7, 0.8, 0.6, 0.7, 0.9, 0.5, 0.7, 0.8, 0.6, 0.7], False),
+    ("higher", [0.7, 0.8, 0.6, 0.7, 0.9, 0.5, 0.7, 0.8, 0.6, 0.7],
+     [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0], True),
+], ids=["clear-gain", "inside-the-spread", "eight-of-ten", "higher-loss", "higher-gain"])
+def test_claim_rule_needs_nine_of_ten_pairs_and_a_gap_wider_than_the_base_iqr(
+        better, base, change, claim):
+    assert summarize(base, change, better)["claim"] is claim
+
+
+def test_five_pairs_give_no_sign_test_interval():
+    # P(Binomial(5, 1/2) < 1) = 1/32 > 0.025, so not even the extremes bound the median
+    assert sign_test_rank(5) == (0, 1.0)
+    assert sign_test_rank(6)[0] == 1
+    s = summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4, 0.5], "lower")
+    assert s["ratio_interval"] is None
+    # every pair won, by more than the base IQR of 2, but a claim needs ten pairs
+    assert s["won"] == 5 and s["base_median"] - s["change_median"] > 2 and not s["claim"]
 
 
 def failed_run(workload, seed, seconds, trace, root):

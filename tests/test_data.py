@@ -306,6 +306,21 @@ def test_drop_degenerate_one_reason_each():
     assert reasons.count("flat_run") + reasons.count("missing_ratio") == len(log)
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"flat_run_max": 1}, "flat_run_max must be >= 2, got 1"),
+    ({"missing_ratio_max": -0.5}, r"missing_ratio_max must be in \[0, 1\], got -0.5"),
+    ({"missing_ratio_max": 1.5}, r"missing_ratio_max must be in \[0, 1\], got 1.5"),
+    ({"missing_ratio_max": float("nan")}, r"missing_ratio_max must be in \[0, 1\], got nan"),
+], ids=["flat-run-1", "missing-negative", "missing-above-one", "missing-nan"])
+def test_cleaning_rejects_thresholds_out_of_range(day, thresholds, message):
+    # a lone observed value is a constant run of 1, so flat_run_max 1 would drop every column
+    raw = {"m": MetricSeries("m", Category.MACRO, [day(0), day(1)], [1.0, 2.0])}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        clean_corpus(raw, **thresholds)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        drop_degenerate({"m": np.array([1.0, 2.0])}, **thresholds)
+
+
 # ---------------------------------------------------------------------------
 # slice_period
 # ---------------------------------------------------------------------------

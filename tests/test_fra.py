@@ -135,8 +135,8 @@ def test_fra_removal_soundness_from_audit():
     ds = planted_dataset(4)
     config = planted_config(4)
     out = fra_reduce(ds, config)
-    from cryptodiv.importance import pearson_abs
-    correlation = {f: pearson_abs(ds.features[f], ds.target) for f in ds.feature_names}
+    from cryptodiv.importance import pearson_report
+    correlation = pearson_report(ds.features, ds.target).scores
     for rec in out.iterations:
         half = {m: set(r[len(r) - len(r) // 2:]) for m, r in rec.rankings.items()}
         for f in rec.removed:

@@ -5,7 +5,7 @@ import pytest
 
 from cryptodiv import importance
 from cryptodiv.importance import (ConstantColumnError, ImportanceReport, mdi, pearson,
-                                  pearson_abs, pfi, shapley_exact, shapley_sampled)
+                                  pearson_report, pfi, shapley_exact, shapley_sampled)
 from cryptodiv.models import (EnsembleParams, ModelKind, _NodeTable, fit_forest, fit_gbt, fit_tree,
                               mse)
 from cryptodiv.seeding import substream
@@ -57,7 +57,7 @@ def test_pearson_symmetry_and_affine_invariance():
 def test_pearson_constant_column():
     with pytest.raises(ConstantColumnError):
         pearson(np.full(10, 3.0), np.arange(10.0))
-    assert pearson_abs(np.full(10, 3.0), np.arange(10.0)) == 0.0
+    assert pearson_report({"c": np.full(10, 3.0)}, np.arange(10.0)).scores == {"c": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,15 @@ def test_mdi_rejects_inconsistent_node_counts():
 # PFI
 # ---------------------------------------------------------------------------
 
+def tree_feature_sets(model):
+    """The features each tree splits on, read from its block of the node table."""
+    return [set(block[block >= 0].tolist())
+            for block in np.split(model.nodes.feature, model.nodes.roots[1:])]
+
+
 def test_pfi_unused_feature_exactly_zero():
     model, X, y = _step_model(n_estimators=5)
-    used = set()
-    for feats in model.tree_feature_sets():
-        used.update(int(f) for f in feats)
-    assert used == {0}
+    assert set.union(*tree_feature_sets(model)) == {0}
     report = pfi(model, X, y, repeats=3, seed=0)
     assert report.scores["f1"] == 0.0
     assert report.scores["f2"] == 0.0
@@ -229,7 +232,7 @@ def pfi_tree_loop_oracle(model, X, y, repeats, seed):
     per_tree = np.array([tree_output(t, X) for t in range(model.n_trees)])
     total = per_tree.sum(axis=0)
     baseline = mse(y, model.combine_tree_total(total))
-    feature_sets = model.tree_feature_sets()
+    feature_sets = tree_feature_sets(model)
     scores, X_work = {}, X.copy()
     for j in range(X.shape[1]):
         name = f"f{j}"

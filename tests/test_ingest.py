@@ -118,7 +118,7 @@ def test_metric_csv_matches_oracle_on_layouts(tmp_path, text):
 
 CAPS = st.one_of(st.floats(0, 1e15, allow_nan=False).map(repr), st.integers(0, 10**12).map(str),
                  st.sampled_from(["-0", "1e9", " 2.5e9 ", "0"]))
-BAD_CAPS = st.sampled_from(["nan", "inf", "1_000", "١٢", "oops", "", "1e999"])
+BAD_CAPS = st.sampled_from(["nan", "inf", "1_000", "١٢", "oops", "", "1e999", "-3", " -1e-300"])
 SYMBOLS = st.sampled_from(["BTC", "ETH", "XRP", " SOL ", "ADA"])
 
 
@@ -163,7 +163,10 @@ def test_mcap_csv_matches_row_by_row_oracle(tmp_path, text):
     'date,asset,market_cap_usd\r\n2020-01-02,BTC,1e9\r\n\r\n2020-01-01, BTC ,2e9\r\n',
     "date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-01,BTC,2e9\n",
     "date,asset,market_cap_usd\n2020-01-01,BTC,1e999\n",
-], ids=["quoted-asset", "crlf-blank-unsorted", "duplicate", "overflow"])
+    "date,asset,market_cap_usd\n2020-01-01,BTC,1e9\n2020-01-01,ETH,-3\n",
+    "date,asset,market_cap_usd\n2020-01-01,BTC,-0\n",
+], ids=["quoted-asset", "crlf-blank-unsorted", "duplicate", "overflow", "negative",
+        "negative-zero"])
 def test_mcap_csv_matches_oracle_on_layouts(tmp_path, text):
     path = tmp_path / "caps.csv"
     path.write_bytes(text.encode())

@@ -28,6 +28,19 @@ def test_improvement_by_category_mean_per_period():
         "category,2018,2019", "Macroeconomic Indicators,1.00,0.50"]
 
 
+def test_tables_list_cells_in_period_then_window_order_whatever_order_they_arrive_in():
+    # the scenario files' name order, in which `report` reads them
+    results = [scenario_result(date(year, 1, 1), window, {Category.MACRO: float(window)})
+               for year, window in ((2017, 30), (2017, 7), (2019, 180), (2019, 30), (2019, 7))]
+    assert reports.render_feature_vectors_csv(results).splitlines() == [
+        "scenario,n_features", "2017_7,1", "2017_30,1", "2019_7,1", "2019_30,1", "2019_180,1"]
+    assert reports.render_contribution_csv(results).splitlines() == [
+        "set,window,category,contribution_factor", "2017,7,macro,1.0", "2017,30,macro,1.0",
+        "2019,7,macro,1.0", "2019,30,macro,1.0", "2019,180,macro,1.0"]
+    assert reports.render_improvement_by_window_csv(results).splitlines() == [
+        "window,2017,2019", "7,7.00,7.00", "30,30.00,30.00", "180,-,180.00"]
+
+
 @pytest.mark.parametrize("failing", ["replace", "write"])
 def test_atomic_write_text_leaves_no_temp_file_when_it_fails(tmp_path, monkeypatch, failing):
     target = tmp_path / "tables" / "t.csv"
