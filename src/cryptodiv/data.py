@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -202,6 +202,8 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
             raise ManifestError(f"{csv_path}: first column must be 'date', got {header[:1]}")
         metrics = header[1:]
         for m in metrics:
+            if any(c in m for c in ',"\r\n'):  # the CSV outputs write names unquoted
+                raise ManifestError(f"{csv_path}:1: metric name {m!r} holds a comma, quote or line break")
             if m not in column_tags:
                 raise ManifestError(f"{csv_path}: metric {m!r} absent from manifest")
         for m in column_tags:
@@ -214,46 +216,35 @@ def _load_metric_csv(csv_path: Path, column_tags: Mapping[str, str]) -> list[Met
             categories[m] = _CATEGORY_TAGS[tag]
         body = fh.read()
 
-    parsed = _parse_body(body, len(metrics))
-    if parsed is None:
-        _raise_first_bad_row(csv_path, body, metrics)
-    dates, table = parsed
+    dates, table = _parse_body(body, len(metrics)) or _read_rows(csv_path, body, metrics)
     order = np.argsort(dates, kind="stable")  # file order among equal dates
     dates, table = dates[order], table[order]
     return [MetricSeries(m, categories[m], dates, table[:, i]) for i, m in enumerate(metrics)]
 
 
-# ASCII characters that keep a body off the fast split: whitespace other than
+# ASCII characters that keep a body off the bulk parse: whitespace other than
 # "\n" (a cell may need stripping) and the quote, which csv reads specially
 _NOT_PLAIN = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", '"')
 
 
 def _parse_body(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The datetime64[D] dates and the (rows, n) value table of a metric CSV after its header row.
+    """The datetime64[D] dates and the (rows, n) value table of a plain metric CSV after its header row.
 
-    Returns None when a row breaks a rule; `_raise_first_bad_row` then names it.
+    Returns None for any other body: one with a quote, a bare CR, whitespace
+    other than line ends, or a row that breaks a rule. `_read_rows` reads it.
     The values come from one `np.loadtxt` call over the file's rows. Each equals
-    `float` of its stripped cell bit for bit, since both use CPython's
-    string-to-double conversion on the same ASCII text.
+    `float` of its cell bit for bit, since both use CPython's string-to-double
+    conversion on the same ASCII text.
     """
     if "n" in body or "N" in body:  # every nan, inf and infinity literal has one
         return None
     plain = body.replace("\r\n", "\n")
-    if plain.isascii() and not any(c in plain for c in _NOT_PLAIN):
-        lines = plain.split("\n")
-        limit = csv.field_size_limit()  # the row scan names the line of a longer cell
-        if max(map(len, lines)) > limit and max(map(len, ",".join(lines).split(","))) > limit:
-            return None
-    else:  # quotes, bare CRs or whitespace: csv cuts the records and cells, then strip
-        lines = []
-        try:
-            for row in csv.reader(io.StringIO(body, newline="")):
-                cells = [c.strip() for c in row]
-                if any("," in c or "\n" in c or "\r" in c for c in cells):
-                    return None
-                lines.append(",".join(cells))
-        except csv.Error:  # an oversized field: the row scan names its line
-            return None
+    if not plain.isascii() or any(c in plain for c in _NOT_PLAIN):
+        return None
+    lines = plain.split("\n")
+    limit = csv.field_size_limit()  # the row reader names the line of a longer cell
+    if max(map(len, lines)) > limit and max(map(len, ",".join(lines).split(","))) > limit:
+        return None
 
     stamps, rows = [], []
     for line in lines:
@@ -287,30 +278,36 @@ def _parse_body(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return dates, table
 
 
-def _raise_first_bad_row(csv_path: Path, body: str, metrics: list[str]) -> NoReturn:
-    """Raise the error for the first row of `body` that breaks a rule, read cell by cell."""
+def _read_rows(csv_path: Path, body: str, metrics: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The dates and table of `_parse_body` for any body, read row by row; raises for the first bad row."""
+    stamps, table = [], []
     for lineno, row in csv_rows(io.StringIO(body, newline=""), csv_path, ManifestError, first_line=2):
         if not "".join(row).strip():
             continue
+        stamp = row[0].strip()
         try:
-            parse_day(row[0].strip())
+            parse_day(stamp)
         except ValueError:
             raise ManifestError(f"{csv_path}:{lineno}: unparseable date {row[0]!r}") from None
         if len(row) > len(metrics) + 1:
             raise ManifestError(f"{csv_path}:{lineno}: row has {len(row)} cells "
                                 f"but the header has {len(metrics) + 1}")
-        for m, cell in zip(metrics, row[1:]):
+        values = [math.nan] * len(metrics)
+        for i, (m, cell) in enumerate(zip(metrics, row[1:])):
             cell = cell.strip()
             if not cell:
                 continue
             try:
-                value = parse_number(cell)
+                values[i] = parse_number(cell)
             except ValueError:
                 raise ManifestError(f"{csv_path}:{lineno}: bad value {cell!r} for {m!r}") from None
-            if not math.isfinite(value):
+            if not math.isfinite(values[i]):
                 raise ManifestError(f"{csv_path}:{lineno}: non-finite value {cell!r} for {m!r} "
                                     "(leave the cell empty for a missing value)")
-    raise RuntimeError(f"{csv_path}: the bulk parse rejected a file that the row scan accepts")
+        stamps.append(stamp)
+        table.append(values)
+    table = np.array(table, dtype=float).reshape(len(table), len(metrics))
+    return np.array(stamps, dtype="datetime64[D]"), table
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryptodiv import data
 from cryptodiv.data import (Category, Dataset, ManifestError, MetricSeries, Scenario,
                             align_calendar, chronological_split, clean_corpus, dedupe,
                             drop_degenerate, interpolate_fill, load_corpus,
@@ -174,6 +176,29 @@ def test_load_corpus_names_the_line_of_a_nul_byte(tmp_path):
     write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro"}})
     with pytest.raises(ManifestError, match=r"a\.csv:3: "):
         load_corpus(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_load_corpus_rejects_a_metric_name_the_csv_outputs_cannot_hold(tmp_path, name):
+    # the reports write metric names into CSV cells unquoted
+    quoted = '"' + name.replace('"', '""') + '"'
+    (tmp_path / "a.csv").write_bytes(f"date,{quoted}\n2019-01-01,1\n".encode())
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {name: "macro"}})
+    with pytest.raises(ManifestError, match=rf"a\.csv:1: metric name {re.escape(repr(name))}"):
+        load_corpus(tmp_path / "manifest.json")
+
+
+def test_load_corpus_reads_a_file_the_bulk_parse_declines_to_the_same_bits(tmp_path, monkeypatch):
+    write_csv(tmp_path / "a.csv", "date,m1,m2,m3",
+              ["2019-01-03,1.5,,-0", "2019-01-01,2e-3", "2019-01-03,,7,", "2019-01-02,0.1,0.2,0.3"])
+    write_manifest(tmp_path / "manifest.json", {"a.csv": {"m1": "macro", "m2": "macro", "m3": "macro"}})
+    bulk = load_corpus(tmp_path / "manifest.json")
+    monkeypatch.setattr(data, "_parse_body", lambda body, n: None)
+    by_row = load_corpus(tmp_path / "manifest.json")
+    assert list(by_row) == list(bulk) == ["m1", "m2", "m3"]
+    for name in bulk:
+        assert by_row[name].dates.tobytes() == bulk[name].dates.tobytes()
+        assert by_row[name].values.tobytes() == bulk[name].values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from cryptodiv.index import McapSnapshot, load_mcap_csv, select_top_n, top_n_cap
 import ingest_oracles as oracle
 
 # a reader that warns (numpy's "input contained no data") prints noise on a valid file
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NUMBERS = st.one_of(
