@@ -19,13 +19,20 @@ from cryptodiv._syntax import parse_day, parse_number
 from cryptodiv.data import ManifestError
 
 
+def records(reader):
+    """Each record after the header as (the file line it starts on, row); a quoted cell may span lines."""
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
+
+
 def metric_rows(csv_path: Path, metrics: list[str]) -> tuple[tuple[date, ...], np.ndarray]:
     """(dates, rows x metrics table) of a metric CSV whose header is date,<metrics>."""
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
         rows: list[tuple[date, list[float]]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records(csv.reader(fh)):
             if not "".join(row).strip():
                 continue
             try:
@@ -59,9 +66,7 @@ def mcap_days(path: Path) -> list[tuple[date, dict[str, float]]]:
     """(date, {asset: cap}) per day of a long-format market-cap CSV, in date order."""
     per_day: dict[date, dict[str, float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records(csv.reader(fh)):
             if not "".join(row).strip():
                 continue
             if len(row) > 3:

@@ -101,8 +101,9 @@ def test_metric_csv_matches_row_by_row_oracle(tmp_path, case):
     "date,m0,m1\n2019-01-02,1,2\n2019-01-01,3,4,\n",
     "date,m0,m1\n,1,2\n",
     "date,m0,m1\n2019-01-02,1,1e999\n",
+    'date,m0,m1\n2019-01-02,"\n1",2\n20190102,3,4\n',
 ], ids=["crlf-quoted", "quoted-newline", "short-and-repeated", "bare-cr", "quoted-comma",
-        "trailing-comma", "values-without-date", "overflow"])
+        "trailing-comma", "values-without-date", "overflow", "bad-date-after-two-line-record"])
 def test_metric_csv_matches_oracle_on_layouts(tmp_path, text):
     path = tmp_path / "a.csv"
     path.write_bytes(text.encode())
