@@ -18,7 +18,12 @@ ratios change/base with its sign-test interval, the pairs that the change
 won (ties count for neither side), and whether the claim rule holds: at
 least ten pairs, of which the change wins at least nine tenths, and medians
 that differ by more than the base's interquartile range, in the metric's
-better direction. A run that is
+better direction. Beside the claim, each row gives the metric's
+`BENCHMARK.json` bound, a share of the base median, and the no-regression
+verdict: `ok` when the change's median is no worse than the base median by
+more than the bound, `WORSE` when it is, and `unresolved` when the base's
+interquartile range exceeds the bound, unless every change run beats every
+base run. A run that is
 not `correct` stops the comparison with exit 1, before any table: its
 metrics are not measurements.
 """
@@ -71,6 +76,25 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
             "interval_level": level,
             "won": won, "pairs": len(base),
             "claim": len(base) >= 10 and 10 * won >= 9 * len(base) and gain > q3 - q1}
+
+
+def regression(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict of one metric, with `bound` a share of the base median.
+
+    'ok' when the change's median is no worse than the base median by more
+    than bound times it, else 'WORSE'; 'unresolved' when the base's IQR share
+    exceeds the bound, unless every change run beats every base run.
+    """
+    s = summarize(base, change, better)
+    if better == "lower":
+        beats_all, excess = max(change) < min(base), s["change_median"] - s["base_median"]
+    else:
+        beats_all, excess = min(change) > max(base), s["base_median"] - s["change_median"]
+    if beats_all:
+        return "ok"
+    if s["base_iqr_share"] > bound:
+        return "unresolved"
+    return "ok" if excess <= bound * s["base_median"] else "WORSE"
 
 
 def export(rev: str, tree: Path) -> Path:
@@ -128,16 +152,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{workload}: artifacts {'identical' if same else 'DIFFER'} "
               f"({', '.join(sorted(h[:8] for h in hashes[(workload, 'change')]))})")
         print(f"  {'metric':<12} {'base':>9} {'change':>9} {'base IQR':>9} {'ratio':>7} "
-              f"{'ratio interval':>15} {'won':>5} claim")
+              f"{'ratio interval':>15} {'won':>5} claim {'bound':>6} in bound")
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            s = summarize(values[(workload, "base")][name], values[(workload, "change")][name],
-                          metric["better"])
+            sample = values[(workload, "base")][name], values[(workload, "change")][name]
+            s = summarize(*sample, metric["better"])
             interval = s["ratio_interval"]
             shown = "-" if interval is None else f"{interval[0]:.3f}-{interval[1]:.3f}"
             print(f"  {name:<12} {s['base_median']:>9.3f} {s['change_median']:>9.3f} "
                   f"{s['base_iqr_share']:>8.1%} {s['median_ratio']:>7.3f} {shown:>15} "
-                  f"{s['won']:>2}/{s['pairs']:<2} {'yes' if s['claim'] else 'no'}")
+                  f"{s['won']:>2}/{s['pairs']:<2} {'yes' if s['claim'] else 'no':<5} "
+                  f"{metric['bound']:>6.0%} {regression(*sample, metric['better'], metric['bound'])}")
     return 0
 
 

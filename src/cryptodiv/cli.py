@@ -281,9 +281,11 @@ def _prepare_corpus(cfg: RunConfig):
 
 def _cell_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[Scenario, data.Dataset]:
     """The cell that --period and --window name, and its train block."""
-    scenario = Scenario(_checked("--period", parse_day, args.period), args.window)
+    scenario = _checked("--window", Scenario, _checked("--period", parse_day, args.period),
+                        args.window)
     corpus, _, _, _ = _prepare_corpus(cfg)
-    train, _ = experiments.cell_blocks(corpus, scenario, cfg.pipeline)
+    train, _ = experiments.run_stage(scenario.label, "prepare", experiments.cell_blocks, corpus,
+                                     scenario, cfg.pipeline)
     return scenario, train
 
 
@@ -383,7 +385,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_fra(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     scenario, train = _cell_train(cfg, args)
-    result = experiments.cell_fra(train, scenario, cfg.pipeline)
+    result = experiments.run_stage(scenario.label, "fra", experiments.cell_fra, train, scenario,
+                                   cfg.pipeline)
     # --out names the directory itself
     out_dir = cfg.output_dir if args.output_dir is not None else cfg.output_dir / "fra"
     reports.atomic_write_text(out_dir / f"{scenario.label}_audit.json", fra.audit_json(result))
@@ -399,7 +402,8 @@ def cmd_fra(args: argparse.Namespace) -> int:
 def cmd_importance(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     scenario, train = _cell_train(cfg, args)
-    report = experiments.cell_importance(train, scenario, cfg.pipeline, args.method, cfg.jobs)
+    report = experiments.run_stage(scenario.label, args.method, experiments.cell_importance, train,
+                                   scenario, cfg.pipeline, args.method, cfg.jobs)
     # --out names the report file itself
     out = (cfg.output_dir if args.output_dir is not None
            else cfg.output_dir / "importance" / f"{scenario.label}_{args.method}.csv")
@@ -502,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, data.ManifestError, index.IndexDomainError, WorkerDied,
+    except (ConfigError, data.ManifestError, index.IndexDomainError, StageError, WorkerDied,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

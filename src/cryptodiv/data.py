@@ -174,15 +174,15 @@ def load_corpus(manifest_path: str | Path) -> dict[str, MetricSeries]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {manifest_path}: {exc}") from exc
-    files = manifest.get("files")
+    files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict) or not files:
         raise ManifestError(f"manifest must contain a non-empty 'files' mapping: {manifest_path}")
 
     corpus: dict[str, MetricSeries] = {}
     for rel_path in sorted(files):
         column_tags = files[rel_path]
-        if not isinstance(column_tags, dict):
-            raise ManifestError(f"{manifest_path}: entry for {rel_path!r} must map columns to categories")
+        if not isinstance(column_tags, dict) or not all(isinstance(t, str) for t in column_tags.values()):
+            raise ManifestError(f"{manifest_path}: entry for {rel_path!r} must map columns to category names")
         csv_path = manifest_path.parent / rel_path
         for series in _load_metric_csv(csv_path, column_tags):
             if series.name in corpus:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._parallel import WorkerDied
 from ._syntax import parse_day
 from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
 from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
-                  fit_full_forest, fra_reduce, rf_pfi)
+                  fit_round_forest, fra_reduce, rf_pfi)
 from .importance import ImportanceReport, mdi, pearson_report, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
@@ -266,29 +268,34 @@ def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
     if method == "pearson":
         return pearson_report(train.features, train.target)
     fra_seed = _fra_seed(scenario, config)
-    model = fit_full_forest(train, config.fra.rf_params or DEFAULT_RF_PARAMS, fra_seed, jobs=jobs)
+    X = train.matrix()
+    model = fit_round_forest(X, train.target, train.feature_names,
+                             config.fra.rf_params or DEFAULT_RF_PARAMS, fra_seed, 1, jobs=jobs)
     if method == "mdi":
         return mdi(model)
     if method == "shapley":
         return _shapley_ranking(model, train, config.shapley, scenario_seed(config.seed, scenario),
                                 jobs=jobs)
-    return rf_pfi(model, train.matrix(), train.target, config.fra.pfi_repeats, fra_seed, 1,
-                  jobs=jobs)
+    return rf_pfi(model, X, train.target, config.fra.pfi_repeats, fra_seed, 1, jobs=jobs)
+
+
+def run_stage(label: str, name: str, fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), with a failure raised as a StageError naming cell `label` and stage `name`.
+
+    A StageError, or a WorkerDied, which is no fault of the stage, passes unwrapped.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except (StageError, WorkerDied):
+        raise
+    except Exception as exc:
+        raise StageError(label, name, exc) from exc
 
 
 def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) -> ScenarioResult:
     """Execute the full pipeline for one cell of the prepared corpus."""
-    label = scenario.label
     seed = scenario_seed(config.seed, scenario)
-
-    def stage(name: str, fn: Callable, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(label, name, exc) from exc
-
+    stage = partial(run_stage, scenario.label)
     train, test = stage("prepare", cell_blocks, corpus, scenario, config)
     fra_result: ReducedFeatureSet = stage("fra", cell_fra, train, scenario, config)
 

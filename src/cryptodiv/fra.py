@@ -61,6 +61,9 @@ class FraConfig:
             raise ValueError(f"pfi_repeats must be >= 1, got {self.pfi_repeats}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.tune_first and (self.rf_params or self.gbt_params):
+            raise ValueError("tune_first chooses rf_params and gbt_params by grid search; "
+                             "omit them (fra.rf, fra.gbt)")
 
 
 @dataclass
@@ -124,8 +127,7 @@ def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleP
     """Fit both models on the given features; the four rankings and the forest."""
     X = dataset.matrix(features)
     y = dataset.target
-    rf = fit_forest(X, y, rf_params, derive_seed(seed, "fra", "rf", round_key),
-                    feature_names=features)
+    rf = fit_round_forest(X, y, features, rf_params, seed, round_key)
     gbt = fit_gbt(X, y, gbt_params, derive_seed(seed, "fra", "gbt", round_key),
                   feature_names=features)
     return {
@@ -138,18 +140,19 @@ def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleP
     }, rf
 
 
+def fit_round_forest(X: np.ndarray, y: np.ndarray, features: Sequence[str],
+                     rf_params: EnsembleParams, seed: int, round_key: int,
+                     jobs: int = 1) -> TreeEnsemble:
+    """A round's random forest on the round's matrix of `features`, from the round's seed."""
+    return fit_forest(X, y, rf_params, derive_seed(seed, "fra", "rf", round_key),
+                      feature_names=features, jobs=jobs)
+
+
 def rf_pfi(rf: TreeEnsemble, X: np.ndarray, y: np.ndarray, pfi_repeats: int, seed: int,
            round_key: int, jobs: int = 1) -> ImportanceReport:
     """A round's random-forest PFI: its forest permuted under the round's key."""
     return pfi(rf, X, y, repeats=pfi_repeats, seed=derive_seed(seed, "fra", "rf_pfi", round_key),
                jobs=jobs)
-
-
-def fit_full_forest(dataset: Dataset, rf_params: EnsembleParams, seed: int,
-                    jobs: int = 1) -> TreeEnsemble:
-    """The forest of round 1, which sees every feature, fitted from round 1's seed."""
-    return fit_forest(dataset.matrix(), dataset.target, rf_params, derive_seed(seed, "fra", "rf", 1),
-                      feature_names=dataset.feature_names, jobs=jobs)
 
 
 def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:

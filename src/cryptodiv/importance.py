@@ -95,10 +95,7 @@ def mdi(model: TreeEnsemble) -> ImportanceReport:
     # bins are (tree, feature) pairs, each summed in node order
     credits = np.bincount(tree * p + nodes.feature[split], weights=credit,
                           minlength=n_trees * p).reshape(n_trees, p)
-    total = np.zeros(p)
-    for tree_credit in credits:
-        total += tree_credit
-    total /= n_trees
+    total = credits.sum(axis=0) / n_trees
     s = total.sum()
     if s > 0:
         total = total / s
@@ -155,9 +152,7 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
             perm = substream(seed, "pfi", names[j], r).permutation(n)
             X_work[:, j] = X[perm, j]
             outputs[tree, row] = nodes.value[nodes.leaves(X_work, start, row)]
-            # sum() adds the affected trees' rows in order, as one
-            # predict_tree call per tree would
-            new_total = unaffected_total + sum(outputs)
+            new_total = unaffected_total + outputs.sum(axis=0)
             deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
         X_work[:, j] = X[:, j]
         return float(np.mean(deltas))
@@ -253,10 +248,9 @@ def shapley_sampled(model, X_background: np.ndarray, X_explain: np.ndarray,
         def predict_coalitions(ex: np.ndarray, order: np.ndarray) -> np.ndarray:
             position = np.empty(p, dtype=np.intp)
             position[order] = np.arange(p)
-            leaves = nodes.coalition_leaves(ex, X_bg, position)
             # the leaves predict() would reach, summed and combined as it does
-            total = nodes.value[leaves].reshape(-1, n_trees).sum(axis=1)
-            return model.combine_tree_total(total)
+            total = nodes.value[nodes.coalition_leaves(ex, X_bg, position)].sum(axis=0)
+            return model.combine_tree_total(total.reshape(-1))
     else:
         chunk = max(1, _BATCH_BYTES // (rows_per_batch * p * 8))
 

@@ -127,7 +127,7 @@ class _NodeTable:
 
         Coalition k of explained row e and background row b takes e's value
         of each feature f with position[f] < k and b's value of the others.
-        The result, shape (len(X_ex), p + 1, len(X_bg), n_trees), holds the
+        The result, shape (n_trees, len(X_ex), p + 1, len(X_bg)), holds the
         leaf `leaves` would route that row to in each tree. Each (e, b, tree)
         is routed once, carrying the sizes k in [lo, hi) that reach its node:
         at a split on f, sizes up to position[f] follow b and larger ones
@@ -165,7 +165,7 @@ class _NodeTable:
         # repeated leaves fill an (e, b, tree, k) array
         order = np.argsort(item * sizes + lo)
         leaves = np.repeat(leaf[order], (hi - lo)[order]).reshape(n_ex, n_bg, n_trees, sizes)
-        return np.ascontiguousarray(leaves.transpose(0, 3, 1, 2))
+        return np.ascontiguousarray(leaves.transpose(2, 0, 3, 1))
 
     def path_reads(self, feature: int) -> np.ndarray:
         """Per node: whether a split on `feature` lies on its path from the root."""
@@ -218,9 +218,7 @@ class TreeEnsemble:
         return X
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_x(X)
-        start = np.broadcast_to(self.nodes.roots, (len(X), self.n_trees))
-        return self.combine_tree_total(self.nodes.value[self.nodes.leaves(X, start)].sum(axis=1))
+        return self.combine_tree_total(self.per_tree_predictions(X).sum(axis=0))
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows), row t is tree t's output."""
@@ -229,9 +227,9 @@ class TreeEnsemble:
     def predict_tree(self, tree_indices: Sequence[int], X: np.ndarray) -> np.ndarray:
         """(len(tree_indices), n_rows), row i is the output of tree tree_indices[i].
 
-        C order matters: pfi sums these over axis 0, which then adds the rows
-        one after another; a transposed view would be summed pairwise and
-        give different low bits.
+        C order matters: every ensemble output sums these over axis 0, which
+        then adds the rows one after another, in tree order; a transposed view
+        would be summed pairwise and give different low bits.
         """
         X = self._check_x(X)
         roots = self.nodes.roots[np.asarray(tree_indices, dtype=np.intp)]

@@ -884,10 +884,13 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     ("run", "--power", "3", "--power given, but the config has no 'index' section"),
     ("fra", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--power", "3", "--power given, but the config has no 'index' section"),
+    ("fra", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
+    ("importance", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
 ], ids=["windows-empty", "periods-empty", "periods-month", "periods-week-date",
         "periods-basic-date", "fra-period-basic-date", "importance-period-week-date",
         "target-features", "holdout", "power", "out-empty", "fra-top-k", "importance-out-empty",
-        "run-power-without-index", "fra-power-without-index", "importance-power-without-index"])
+        "run-power-without-index", "fra-power-without-index", "importance-power-without-index",
+        "fra-window-zero", "importance-window-zero"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
@@ -898,6 +901,31 @@ def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus"]
+
+
+@pytest.mark.parametrize("command", ["run", "fra", "importance"])
+def test_every_cell_command_names_the_failing_cell_and_stage(tmp_path, capsys, command):
+    config, _, _ = small_setup(tmp_path)
+    cell = {"run": ["--periods", "2019-01-01", "--windows", "5000"],
+            "fra": ["--period", "2019-01-01", "--window", "5000"],
+            "importance": ["--period", "2019-01-01", "--window", "5000", "--method", "pearson"]}
+    assert main([command, "--config", str(config), *cell[command]]) == 1
+    assert capsys.readouterr().err == ("error: scenario 2019_5000, stage prepare: "
+                                       "index price missing for all rows\n")
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ([1], "manifest must contain a non-empty 'files' mapping: {path}"),
+    ({"files": {"a.csv": {"m": ["macro"]}}},
+     "{path}: entry for 'a.csv' must map columns to category names"),
+], ids=["list-root", "list-tag"])
+def test_malformed_manifest_is_one_error_line(tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "a.csv").write_text("date,m\n2019-01-01,1\n")
+    config = write_run_config(tmp_path / "config.json", path, tmp_path / "out")
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {named.format(path=path)}\n"
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -953,6 +981,7 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("fra", "gbt", "features_per_split"), 0, "at fra.gbt: features_per_split count must be >= 1"),
     (("fra", "gbt", "bootstrap"), True, "'bootstrap' at fra.gbt"),
     (("fra", "rf", "learning_rate"), 99.0, "'learning_rate'] at fra.rf"),
+    (("fra", "tune_first"), True, "at fra: tune_first chooses rf_params and gbt_params"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
@@ -961,7 +990,7 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "periods-week-date",
         "periods-basic-date", "periods-number", "rf-kind", "gbt-kind",
         "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count", "gbt-bootstrap",
-        "rf-learning-rate"])
+        "rf-learning-rate", "tune-first-with-params"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)

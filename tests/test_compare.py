@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from compare import sign_test_rank, summarize  # noqa: E402
+from compare import regression, sign_test_rank, summarize  # noqa: E402
 
 
 def test_summary_of_a_lower_is_better_metric():
@@ -61,6 +61,27 @@ def test_sign_test_interval_of_ten_pairs_is_the_2nd_and_9th_ratio():
 def test_claim_rule_needs_nine_of_ten_pairs_and_a_gap_wider_than_the_base_iqr(
         better, base, change, claim):
     assert summarize(base, change, better)["claim"] is claim
+
+
+@pytest.mark.parametrize("better, base, change, verdict", [
+    # base median 1.0, IQR share 0.1: a change median of 1.2 is within a bound of 0.25
+    ("lower", [0.9, 0.95, 1.0, 1.05, 1.1], [1.1, 1.15, 1.2, 1.25, 1.3], "ok"),
+    # ... and 1.3 is not
+    ("lower", [0.9, 0.95, 1.0, 1.05, 1.1], [1.2, 1.25, 1.3, 1.35, 1.4], "WORSE"),
+    # higher is better: from a base median of 1.3, 0.9 is more than 25% lower ...
+    ("higher", [1.2, 1.25, 1.3, 1.35, 1.4], [0.8, 0.85, 0.9, 0.95, 1.0], "WORSE"),
+    # ... and from 1.2, 1.1 is not
+    ("higher", [1.1, 1.15, 1.2, 1.25, 1.3], [1.0, 1.05, 1.1, 1.15, 1.2], "ok"),
+    # a base IQR share of 0.5 exceeds the bound, so not even an equal median resolves
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.5, 0.75, 1.0, 1.25, 1.5], "unresolved"),
+    # ... unless every change run beats every base run
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.1, 0.2, 0.3, 0.4, 0.45], "ok"),
+    ("higher", [0.5, 0.75, 1.0, 1.25, 1.5], [1.6, 1.7, 1.8, 1.9, 2.0], "ok"),
+], ids=["lower-within", "lower-worse", "higher-worse", "higher-within", "spread-unresolved",
+        "spread-lower-beats-all", "spread-higher-beats-all"])
+def test_regression_verdict_against_the_bound_as_a_share_of_the_base_median(
+        better, base, change, verdict):
+    assert regression(base, change, better, 0.25) == verdict
 
 
 def test_five_pairs_give_no_sign_test_interval():

@@ -277,6 +277,11 @@ def test_fra_config_validation():
         FraConfig(corr_step=0.0)
     with pytest.raises(ValueError):
         FraConfig(target_count=10, top_k_union=11)
+    # the grid search would drop the given parameters, while `importance` fits with them
+    with pytest.raises(ValueError, match="tune_first"):
+        FraConfig(tune_first=True, rf_params=DEFAULT_RF_PARAMS)
+    with pytest.raises(ValueError, match="tune_first"):
+        FraConfig(tune_first=True, gbt_params=DEFAULT_GBT_PARAMS)
 
 
 # ---------------------------------------------------------------------------

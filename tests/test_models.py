@@ -244,6 +244,26 @@ def test_per_tree_predictions_c_ordered_rows_match_predict_tree():
 # gradient boosting
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOST])
+def test_predict_is_the_tree_order_sum_so_a_smaller_fit_is_a_prefix(kind):
+    # 10 and 30 trees: numpy's pairwise sum would add 8 or more rows in
+    # partial sums, not one after another
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(120, 6))
+    y = X[:, 0] - 2.0 * X[:, 4] + rng.normal(scale=0.3, size=120)
+    probe = rng.normal(size=(50, 6))
+    params = EnsembleParams(kind=kind, max_depth=4, features_per_split=1 / 2,
+                            bootstrap=kind is ModelKind.RANDOM_FOREST)
+    small, large = (fit_model(X, y, dataclasses.replace(params, n_estimators=n), seed=9)
+                    for n in (10, 30))
+    for model in (small, large):
+        summed = model.combine_tree_total(model.per_tree_predictions(probe).sum(axis=0))
+        assert np.array_equal(model.predict(probe).view(np.int64), summed.view(np.int64))
+    running = np.cumsum(large.per_tree_predictions(probe), axis=0)[9]
+    assert np.array_equal(small.predict(probe).view(np.int64),
+                          small.combine_tree_total(running).view(np.int64))
+
+
 def test_gbt_one_full_stage_matches_single_tree_residuals():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(60, 2))
