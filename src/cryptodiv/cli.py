@@ -3,7 +3,6 @@
 Subcommands:
   index       build the market-cap index CSV, optionally calibrating the power
   run         execute every (period, window) scenario cell and write all artifacts
-  fra         run the feature-reduction loop for one cell, writing the audit trail
   importance  compute one importance report for one cell
   report      re-render the aggregate tables from stored scenario results
 
@@ -22,7 +21,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
-from . import data, experiments, fra, index, indicators, reports
+from . import data, experiments, index, indicators, reports
 from ._parallel import WorkerDied, fork_map
 from ._syntax import parse_day
 from .data import Category, Scenario
@@ -165,6 +164,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key in ("manifest", "output_dir"):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r} at config root")
+        # an empty path would mean the config's own directory
+        if not isinstance(doc[key], str) or not doc[key]:
+            raise ConfigError(f"bad value for {key!r} at config root: expected a non-empty "
+                              f"string, got {doc[key]!r}")
 
     base = path.parent
     fra_doc = _section(doc, "fra", _FRA_KEYS, "fra")
@@ -252,7 +255,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# corpus preparation shared by run / fra / importance
+# corpus preparation shared by run / importance
 # ---------------------------------------------------------------------------
 
 def _prepare_corpus(cfg: RunConfig):
@@ -327,8 +330,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 # each owned file that it does not write, and a subdirectory that this
 # leaves empty, so nothing of an earlier run is mixed with its own, and it
 # leaves every other file alone.
-_RUN_OWNED = ("scenarios/*.json", "tables/*.csv", "drop_log.csv", "imputation_log.csv",
-              "index.csv")
+_RUN_OWNED = ("scenarios/*.json", "fra/*_audit.json", "tables/*.csv", "drop_log.csv",
+              "imputation_log.csv", "index.csv")
 
 
 def _write_run_files(out: Path, files: dict[str, str]) -> None:
@@ -360,8 +363,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     results = [o for o in outcomes if not isinstance(o, StageError)]
     failures = [o for o in outcomes if isinstance(o, StageError)]
 
-    files = {f"scenarios/{result.label}.json": experiments.result_to_json(result)
-             for result in results}
+    files = {}
+    for result in results:
+        files[f"scenarios/{result.label}.json"] = experiments.result_to_json(result)
+        files[f"fra/{result.label}_audit.json"] = result.fra_audit
     if not failures:
         # after a failure `cryptodiv report` renders the tables from the stored cells
         tables = reports.render_tables(results)
@@ -379,23 +384,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if failures:
         return 1
     print(f"completed {len(results)} scenario(s); artifacts in {cfg.output_dir}")
-    return 0
-
-
-def cmd_fra(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
-    scenario, train = _cell_train(cfg, args)
-    result = experiments.run_stage(scenario.label, "fra", experiments.cell_fra, train, scenario,
-                                   cfg.pipeline)
-    # --out names the directory itself
-    out_dir = cfg.output_dir if args.output_dir is not None else cfg.output_dir / "fra"
-    reports.atomic_write_text(out_dir / f"{scenario.label}_audit.json", fra.audit_json(result))
-    lines = ["feature,rank"]
-    lines += [f"{f},{i}" for i, f in enumerate(result.survivors, start=1)]
-    reports.atomic_write_text(out_dir / f"{scenario.label}_survivors.csv", "\n".join(lines) + "\n")
-    flag = " (forced stop)" if result.forced_stop else ""
-    print(f"{scenario.label}: {len(result.original)} -> {len(result.survivors)} features "
-          f"in {len(result.iterations)} iteration(s){flag}; audit in {out_dir}")
     return 0
 
 
@@ -419,14 +407,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no scenarios directory under {results_dir}", file=sys.stderr)
         return 1
     results = []
+    paths = {}   # cell label -> the file that holds it
     for path in sorted(scenario_dir.glob("*.json")):
         try:
-            results.append(experiments.result_from_json(path.read_text()))
+            result = experiments.result_from_json(path.read_text())
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             # a KeyError's text is the bare key
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             print(f"error: {path}: not a stored scenario result: {detail}", file=sys.stderr)
             return 1
+        if result.label in paths:
+            print(f"error: {paths[result.label]} and {path} both hold scenario {result.label}",
+                  file=sys.stderr)
+            return 1
+        paths[result.label] = path
+        results.append(result)
     if not results:
         print(f"error: no stored scenario results in {scenario_dir}", file=sys.stderr)
         return 1
@@ -471,19 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--periods")
     p_run.add_argument("--windows")
+    p_run.add_argument("--target-features", type=int, dest="target_count")
+    p_run.add_argument("--corr-start", type=float)
+    p_run.add_argument("--corr-step", type=float)
+    p_run.add_argument("--top-k", type=int, dest="top_k_union")
     p_run.add_argument("--jobs", type=int, help="worker processes for the cells")
     p_run.set_defaults(func=cmd_run)
-
-    p_fra = sub.add_parser("fra", help="run feature reduction for one cell")
-    add_common(p_fra)
-    p_fra.add_argument("--period", required=True, help="period start YYYY-MM-DD")
-    p_fra.add_argument("--window", required=True, type=int)
-    p_fra.set_defaults(func=cmd_fra)
-    for p in (p_run, p_fra):  # each subcommand takes only the flags it reads
-        p.add_argument("--target-features", type=int, dest="target_count")
-        p.add_argument("--corr-start", type=float)
-        p.add_argument("--corr-step", type=float)
-        p.add_argument("--top-k", type=int, dest="top_k_union")
 
     p_imp = sub.add_parser("importance", help="one importance report for one cell")
     add_common(p_imp)

@@ -19,8 +19,8 @@ import numpy as np
 from ._parallel import WorkerDied
 from ._syntax import parse_day
 from .data import Category, Dataset, Scenario, chronological_split, make_target, slice_period
-from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, final_vector,
-                  fit_round_forest, fra_reduce, rf_pfi)
+from .fra import (DEFAULT_RF_PARAMS, FinalVector, FraConfig, ReducedFeatureSet, audit_json,
+                  final_vector, fit_round_forest, fra_reduce, rf_pfi)
 from .importance import ImportanceReport, mdi, pearson_report, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
@@ -99,6 +99,9 @@ class ScenarioResult:
     fra_iterations: int
     fra_forced_stop: bool
     shap_overlap: int
+    # the audit_json text of the cell's reduction; `run` writes it beside the
+    # stored result, which does not hold it
+    fra_audit: str | None = None
 
     @property
     def label(self) -> str:
@@ -254,11 +257,6 @@ def _fra_seed(scenario: Scenario, config: PipelineConfig) -> int:
     return derive_seed(scenario_seed(config.seed, scenario), "fra")
 
 
-def cell_fra(train: Dataset, scenario: Scenario, config: PipelineConfig) -> ReducedFeatureSet:
-    """The feature-reduction loop of one cell, on the cell's FRA seed."""
-    return fra_reduce(train, replace(config.fra, seed=_fra_seed(scenario, config)))
-
-
 def cell_importance(train: Dataset, scenario: Scenario, config: PipelineConfig,
                     method: str, jobs: int = 1) -> ImportanceReport:
     """One importance report over a cell's train block, from FRA's round-1 forest
@@ -297,7 +295,8 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     seed = scenario_seed(config.seed, scenario)
     stage = partial(run_stage, scenario.label)
     train, test = stage("prepare", cell_blocks, corpus, scenario, config)
-    fra_result: ReducedFeatureSet = stage("fra", cell_fra, train, scenario, config)
+    fra_result: ReducedFeatureSet = stage("fra", fra_reduce, train,
+                                          replace(config.fra, seed=_fra_seed(scenario, config)))
 
     shap_report = stage("shapley", _shapley_ranking, fra_result.full_forest, train,
                         config.shapley, seed)
@@ -333,6 +332,7 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
         fra_iterations=len(fra_result.iterations),
         fra_forced_stop=fra_result.forced_stop,
         shap_overlap=fv.shap_overlap,
+        fra_audit=audit_json(fra_result),
     )
 
 
@@ -399,7 +399,10 @@ def result_from_json(text: str) -> ScenarioResult:
         start = parse_day(doc["scenario"]["period_start"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"scenario.period_start: {exc}") from exc
-    scenario = Scenario(start, int(doc["scenario"]["window"]))
+    window = doc["scenario"]["window"]
+    if type(window) is not int or window < 1:   # true/false are not windows
+        raise ValueError(f"scenario.window: expected an integer >= 1, got {window!r}")
+    scenario = Scenario(start, window)
     improvement_result = ImprovementResult(
         mse_diverse=doc["improvement"]["mse_diverse"],
         mse_by_category={Category(c): v for c, v in doc["improvement"]["mse_by_category"].items()},

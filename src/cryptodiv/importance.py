@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._parallel import fork_map
-from .models import TreeEnsemble, mse
+from .models import TreeEnsemble, mse, tree_total
 from .seeding import substream
 
 
@@ -95,7 +95,7 @@ def mdi(model: TreeEnsemble) -> ImportanceReport:
     # bins are (tree, feature) pairs, each summed in node order
     credits = np.bincount(tree * p + nodes.feature[split], weights=credit,
                           minlength=n_trees * p).reshape(n_trees, p)
-    total = credits.sum(axis=0) / n_trees
+    total = tree_total(credits) / n_trees
     s = total.sum()
     if s > 0:
         total = total / s
@@ -132,10 +132,10 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
     # keeps its cached output. A feature no tree reads scores exactly 0
     # without any routing at all.
     nodes = model.nodes
-    per_tree = model.per_tree_predictions(X)
-    total = per_tree.sum(axis=0)
-    baseline = mse(y, model.combine_tree_total(total))
     base_leaves = nodes.leaves(X, np.broadcast_to(nodes.roots, (n, model.n_trees))).T
+    per_tree = np.ascontiguousarray(nodes.value[base_leaves])   # the per_tree_predictions
+    total = tree_total(per_tree)
+    baseline = mse(y, model.combine_tree_total(total))
 
     def score(X_work: np.ndarray, j: int) -> float:
         reads = nodes.path_reads(j)
@@ -144,7 +144,7 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
         if not affected.size:
             return 0.0
         outputs = per_tree[affected]
-        unaffected_total = total - outputs.sum(axis=0)
+        unaffected_total = total - tree_total(outputs)
         tree, row = np.nonzero(reads[base_leaves[affected]])
         start = nodes.roots[affected][tree]
         deltas = []
@@ -152,7 +152,7 @@ def pfi(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, repeats: int = 5,
             perm = substream(seed, "pfi", names[j], r).permutation(n)
             X_work[:, j] = X[perm, j]
             outputs[tree, row] = nodes.value[nodes.leaves(X_work, start, row)]
-            new_total = unaffected_total + outputs.sum(axis=0)
+            new_total = unaffected_total + tree_total(outputs)
             deltas.append(mse(y, model.combine_tree_total(new_total)) - baseline)
         X_work[:, j] = X[:, j]
         return float(np.mean(deltas))
@@ -249,7 +249,7 @@ def shapley_sampled(model, X_background: np.ndarray, X_explain: np.ndarray,
             position = np.empty(p, dtype=np.intp)
             position[order] = np.arange(p)
             # the leaves predict() would reach, summed and combined as it does
-            total = nodes.value[nodes.coalition_leaves(ex, X_bg, position)].sum(axis=0)
+            total = tree_total(nodes.value[nodes.coalition_leaves(ex, X_bg, position)])
             return model.combine_tree_total(total.reshape(-1))
     else:
         chunk = max(1, _BATCH_BYTES // (rows_per_batch * p * 8))

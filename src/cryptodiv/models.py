@@ -218,7 +218,7 @@ class TreeEnsemble:
         return X
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.combine_tree_total(self.per_tree_predictions(X).sum(axis=0))
+        return self.combine_tree_total(tree_total(self.per_tree_predictions(X)))
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows), row t is tree t's output."""
@@ -227,9 +227,8 @@ class TreeEnsemble:
     def predict_tree(self, tree_indices: Sequence[int], X: np.ndarray) -> np.ndarray:
         """(len(tree_indices), n_rows), row i is the output of tree tree_indices[i].
 
-        C order matters: every ensemble output sums these over axis 0, which
-        then adds the rows one after another, in tree order; a transposed view
-        would be summed pairwise and give different low bits.
+        C order matters: every ensemble output adds these up with tree_total,
+        which on a transposed view would sum pairwise and give different low bits.
         """
         X = self._check_x(X)
         roots = self.nodes.roots[np.asarray(tree_indices, dtype=np.intp)]
@@ -241,6 +240,18 @@ class TreeEnsemble:
         if self.kind is ModelKind.RANDOM_FOREST:
             return total / self.n_trees
         return self.base_value + self.params.learning_rate * total
+
+
+def tree_total(per_tree: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a C-ordered tree-major array, adding the trees in tree order.
+
+    numpy adds the rows one after another when each holds several values,
+    but sums one value per tree as a single vector, pairwise once there are
+    8 or more trees; such an array is accumulated instead.
+    """
+    if per_tree.size == len(per_tree):
+        return np.cumsum(per_tree, axis=0)[-1]
+    return per_tree.sum(axis=0)
 
 
 def _resolve_features_per_split(setting: float | int | None, n_features: int) -> int:

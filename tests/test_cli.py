@@ -374,10 +374,12 @@ def test_run_failed_cell_keeps_finished_cells(tmp_path, monkeypatch, capsys, job
     assert capsys.readouterr().err.splitlines() == [
         "error: scenario 2018_7, stage fra: planted failure"]
     expected = {k: v for k, v in tree_bytes(complete).items()
-                if k != "scenarios/2018_7.json" and not k.startswith("tables/")}
-    # the corpus logs are written, the finished cells are kept byte for byte, and
-    # tables/ is left for `cryptodiv report` to render from the stored cells
-    assert {"drop_log.csv", "imputation_log.csv"} <= expected.keys()
+                if k not in ("scenarios/2018_7.json", "fra/2018_7_audit.json")
+                and not k.startswith("tables/")}
+    # the corpus logs are written, the finished cells and their audits are kept
+    # byte for byte, and tables/ is left for `cryptodiv report` to render from
+    # the stored cells
+    assert {"drop_log.csv", "imputation_log.csv", "fra/2019_7_audit.json"} <= expected.keys()
     assert tree_bytes(partial) == expected
 
 
@@ -397,6 +399,7 @@ def test_failed_run_removes_an_earlier_runs_cells_and_tables(tmp_path, monkeypat
     assert main(["run", "--config", str(config), "--out", str(shared), "--seed", "5"]) == 1
     # what a seed-5 run with the same failure leaves in an empty directory
     (reference / "scenarios" / "2018_7.json").unlink()
+    (reference / "fra" / "2018_7_audit.json").unlink()
     shutil.rmtree(reference / "tables")
     assert tree_bytes(shared) == tree_bytes(reference)
     assert main(["report", "--results", str(shared)]) == 0
@@ -404,13 +407,14 @@ def test_failed_run_removes_an_earlier_runs_cells_and_tables(tmp_path, monkeypat
     assert tree_bytes(shared) == tree_bytes(reference)
 
 
-@pytest.mark.parametrize("failing, left", [({"2018_7"}, ["scenarios"]),
+@pytest.mark.parametrize("failing, left", [({"2018_7"}, ["fra", "scenarios"]),
                                            ({"2018_1", "2018_7", "2019_1", "2019_7"}, [])],
                          ids=["one-cell", "every-cell"])
 def test_failed_run_leaves_no_empty_owned_directory(tmp_path, monkeypatch, failing, left):
     config, out_dir, _ = small_setup(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
-    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == ["scenarios", "tables"]
+    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == ["fra", "scenarios",
+                                                                       "tables"]
     original = experiments.run_scenario
 
     def failing_cells(corpus, scenario, config):
@@ -540,48 +544,62 @@ def test_report_rejects_a_period_start_that_is_not_yyyy_mm_dd(tmp_path, capsys, 
     assert not (results / "tables").exists()
 
 
+@pytest.mark.parametrize("window", [7.9, "90", True, 0],
+                         ids=["float", "string", "bool", "zero"])
+def test_report_rejects_a_stored_window_that_is_not_an_integer_of_at_least_1(tmp_path, capsys,
+                                                                             window):
+    results = tmp_path / "results"
+    scenario_dir = results / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    (scenario_dir / "2018_7.json").write_text(
+        experiments.result_to_json(scenario_result(date(2018, 1, 1), 7)))
+    stored = json.loads(experiments.result_to_json(scenario_result()))
+    stored["scenario"]["window"] = window
+    (scenario_dir / "2019_7.json").write_text(json.dumps(stored))
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario_dir / '2019_7.json'}: not a stored scenario result: "
+        f"scenario.window: expected an integer >= 1, got {window!r}\n")
+    assert not (results / "tables").exists()
+
+
+def test_report_rejects_two_files_that_hold_one_cell(tmp_path, capsys):
+    results = tmp_path / "results"
+    scenario_dir = results / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    for name, window in (("2018_7", 7), ("2018_90", 90), ("2019_7", 90)):
+        (scenario_dir / f"{name}.json").write_text(
+            experiments.result_to_json(scenario_result(date(2018, 1, 1), window)))
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (f"error: {scenario_dir / '2018_90.json'} and "
+                                       f"{scenario_dir / '2019_7.json'} both hold scenario "
+                                       f"2018_90\n")
+    assert not (results / "tables").exists()
+
+
 # ---------------------------------------------------------------------------
-# fra / importance subcommands
+# importance subcommand
 # ---------------------------------------------------------------------------
 
-def test_fra_command_audit_monotone(tmp_path, capsys):
-    config, out_dir, _ = small_setup(tmp_path, seed=3)
-    assert main(["fra", "--config", str(config), "--period", "2019-01-01",
-                 "--window", "7", "--target-features", "8", "--top-k", "8"]) == 0
-    audit = json.loads((out_dir / "fra" / "2019_7_audit.json").read_text())
-    count = len(audit["original_features"])
-    assert count > 8
-    for rec in audit["iterations"]:
-        next_count = count - len(rec["removed"])
-        assert next_count <= count
-        count = next_count
-    assert count == len(audit["survivors"])
-    survivors_csv = (out_dir / "fra" / "2019_7_survivors.csv").read_text().splitlines()
-    assert survivors_csv[0] == "feature,rank"
-    assert len(survivors_csv) - 1 == len(audit["survivors"])
-
-
-def test_fra_command_rejects_jobs(tmp_path, capsys):
+def test_fra_is_no_subcommand(tmp_path, capsys):
+    # each cell's FRA audit is written by `run`
     config, _, _ = small_setup(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
-        main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7",
-              "--jobs", "2"])
+        main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert "invalid choice: 'fra'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("fra", "--periods", "2019-01-01"), ("fra", "--windows", "7"),
     ("importance", "--periods", "2019-01-01"), ("importance", "--windows", "7"),
     ("importance", "--target-features", "8"), ("importance", "--corr-start", "0.5"),
     ("importance", "--corr-step", "0.1"), ("importance", "--top-k", "8"),
 ])
 def test_subcommand_rejects_a_flag_it_never_reads(tmp_path, capsys, command, flag, value):
     config, _, _ = small_setup(tmp_path)
-    cell = ["--period", "2019-01-01", "--window", "7"]
-    method = ["--method", "pearson"] if command == "importance" else []
+    cell = ["--period", "2019-01-01", "--window", "7", "--method", "pearson"]
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "--config", str(config), *cell, *method, flag, value])
+        main([command, "--config", str(config), *cell, flag, value])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
@@ -682,8 +700,8 @@ ROUNDS = pytest.mark.parametrize("no_round", [False, True], ids=["fra-rounds", "
 
 
 @ROUNDS
-def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch, no_round):
-    config, out_dir, _ = small_setup(tmp_path, seed=3)
+def test_run_writes_the_fra_audit_of_each_cell(tmp_path, monkeypatch, no_round):
+    config, _, _ = small_setup(tmp_path, seed=3)
     if no_round:
         without_fra_rounds(config)
     by_cell = {}
@@ -695,13 +713,32 @@ def test_fra_command_writes_the_fra_result_of_run(tmp_path, monkeypatch, no_roun
         return result
 
     monkeypatch.setattr(experiments, "fra_reduce", capturing)
-    assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert main(["run", "--config", str(config), "--out", str(serial), "--jobs", "1"]) == 0
     assert len(by_cell) == 4
-    assert main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"]) == 0
-    audit = (out_dir / "fra" / "2019_7_audit.json").read_text()
-    result = by_cell[(date(2019, 1, 1), 7)]
-    assert (result.iterations == []) == no_round
-    assert audit == fra.audit_json(result)
+    assert (by_cell[(date(2019, 1, 1), 7)].iterations == []) == no_round
+    audits = {k: v for k, v in tree_bytes(serial).items() if k.startswith("fra/")}
+    assert audits == {f"fra/{start.year}_{window}_audit.json": fra.audit_json(result).encode()
+                      for (start, window), result in by_cell.items()}
+    # the workers send each audit back as text with its cell's result
+    assert main(["run", "--config", str(config), "--out", str(parallel), "--jobs", "2"]) == 0
+    assert tree_bytes(parallel) == tree_bytes(serial)
+
+
+def test_run_fra_audit_monotone(tmp_path):
+    config, out_dir, _ = small_setup(tmp_path, seed=3)
+    assert main(["run", "--config", str(config), "--periods", "2019-01-01", "--windows", "7",
+                 "--target-features", "8", "--top-k", "8"]) == 0
+    audit = json.loads((out_dir / "fra" / "2019_7_audit.json").read_text())
+    count = len(audit["original_features"])
+    assert count > 8
+    for rec in audit["iterations"]:
+        next_count = count - len(rec["removed"])
+        assert next_count <= count
+        count = next_count
+    # the survivors, in rank order
+    assert count == len(set(audit["survivors"])) == len(audit["survivors"])
+    assert set(audit["survivors"]) <= set(audit["original_features"])
 
 
 def test_importance_shapley_writes_the_shapley_report_of_run(tmp_path, monkeypatch):
@@ -796,14 +833,16 @@ def test_rerun_keeps_files_it_does_not_own(tmp_path):
     cell = ["--periods", "2019-01-01", "--windows", "7", "--jobs", "1"]
     reference = tmp_path / "reference"
     assert main(["run", "--config", str(config), *cell, "--out", str(reference)]) == 0
-    assert main(["fra", "--config", str(config), "--period", "2019-01-01", "--window", "7"]) == 0
-    kept = tree_bytes(out_dir)
-    assert sorted(kept) == ["fra/2019_7_audit.json", "fra/2019_7_survivors.csv"]
+    # an earlier run of every cell, and files that no run writes
+    assert main(["run", "--config", str(config)]) == 0
+    assert "fra/2018_7_audit.json" in tree_bytes(out_dir)
+    assert main(["importance", "--config", str(config), "--period", "2019-01-01",
+                 "--window", "7", "--method", "pearson"]) == 0
     (out_dir / "notes.txt").write_text("mine\n")
-    kept["notes.txt"] = b"mine\n"
-    # files of the kinds a run owns, left by an earlier run
-    (out_dir / "scenarios").mkdir()
-    (out_dir / "scenarios" / "2018_7.json").write_text("{}\n")
+    (out_dir / "fra" / "2019_7_survivors.csv").write_text("feature,rank\n")
+    kept = {k: v for k, v in tree_bytes(out_dir).items()
+            if k.startswith("importance/") or k in ("notes.txt", "fra/2019_7_survivors.csv")}
+    assert "importance/2019_7_pearson.csv" in kept and len(kept) == 3
     (out_dir / "index.csv").write_text("date,sum_mcap,index_value,power\n")
     assert main(["run", "--config", str(config), *cell]) == 0
     assert tree_bytes(out_dir) == {**kept, **tree_bytes(reference)}
@@ -870,7 +909,8 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
      "bad value for --periods: not a YYYY-MM-DD date: '2019-W01-1'"),
     ("run", "--periods", "2018-02-01,20190101",
      "bad value for --periods: not a YYYY-MM-DD date: '20190101'"),
-    ("fra", "--period", "20190101", "bad value for --period: not a YYYY-MM-DD date: '20190101'"),
+    ("importance", "--period", "20190101",
+     "bad value for --period: not a YYYY-MM-DD date: '20190101'"),
     ("importance", "--period", "2019-W01-2",
      "bad value for --period: not a YYYY-MM-DD date: '2019-W01-2'"),
     ("run", "--target-features", "0",
@@ -879,23 +919,20 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
      "bad value for --holdout: holdout_fraction must be in (0, 1), got 1.5"),
     ("run", "--power", "0", "bad value for --power: power must be >= 1, got 0"),
     ("run", "--out", "", "bad value for --out: expected a path, got ''"),
-    ("fra", "--top-k", "99", "bad value for --top-k: top_k_union must be in [1, target_count]"),
+    ("run", "--top-k", "99", "bad value for --top-k: top_k_union must be in [1, target_count]"),
     ("importance", "--out", "", "bad value for --out: expected a path, got ''"),
     ("run", "--power", "3", "--power given, but the config has no 'index' section"),
-    ("fra", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--power", "3", "--power given, but the config has no 'index' section"),
-    ("fra", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
     ("importance", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
 ], ids=["windows-empty", "periods-empty", "periods-month", "periods-week-date",
-        "periods-basic-date", "fra-period-basic-date", "importance-period-week-date",
-        "target-features", "holdout", "power", "out-empty", "fra-top-k", "importance-out-empty",
-        "run-power-without-index", "fra-power-without-index", "importance-power-without-index",
-        "fra-window-zero", "importance-window-zero"])
+        "periods-basic-date", "importance-period-basic-date", "importance-period-week-date",
+        "target-features", "holdout", "power", "out-empty", "top-k", "importance-out-empty",
+        "run-power-without-index", "importance-power-without-index", "importance-window-zero"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
     monkeypatch.chdir(tmp_path)   # an empty --out would mean this directory
-    cell = {"run": [], "fra": ["--period", "2019-01-01", "--window", "7"],
+    cell = {"run": [],
             "importance": ["--period", "2019-01-01", "--window", "7", "--method", "pearson"]}
     assert main([command, "--config", str(config), *cell[command], flag, value]) == 1
     err = capsys.readouterr().err
@@ -903,11 +940,10 @@ def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, f
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus"]
 
 
-@pytest.mark.parametrize("command", ["run", "fra", "importance"])
+@pytest.mark.parametrize("command", ["run", "importance"])
 def test_every_cell_command_names_the_failing_cell_and_stage(tmp_path, capsys, command):
     config, _, _ = small_setup(tmp_path)
     cell = {"run": ["--periods", "2019-01-01", "--windows", "5000"],
-            "fra": ["--period", "2019-01-01", "--window", "5000"],
             "importance": ["--period", "2019-01-01", "--window", "5000", "--method", "pearson"]}
     assert main([command, "--config", str(config), *cell[command]]) == 1
     assert capsys.readouterr().err == ("error: scenario 2019_5000, stage prepare: "
@@ -982,6 +1018,12 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("fra", "gbt", "bootstrap"), True, "'bootstrap' at fra.gbt"),
     (("fra", "rf", "learning_rate"), 99.0, "'learning_rate'] at fra.rf"),
     (("fra", "tune_first"), True, "at fra: tune_first chooses rf_params and gbt_params"),
+    (("manifest",), 5, "'manifest' at config root: expected a non-empty string"),
+    (("manifest",), None, "'manifest' at config root: expected a non-empty string"),
+    (("manifest",), ["a"], "'manifest' at config root: expected a non-empty string"),
+    (("manifest",), "", "'manifest' at config root: expected a non-empty string"),
+    (("output_dir",), "", "'output_dir' at config root: expected a non-empty string"),
+    (("output_dir",), 5, "'output_dir' at config root: expected a non-empty string"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
@@ -990,7 +1032,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "cell-windows-zero", "cell-windows-number", "cell-windows-empty", "periods-week-date",
         "periods-basic-date", "periods-number", "rf-kind", "gbt-kind",
         "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count", "gbt-bootstrap",
-        "rf-learning-rate", "tune-first-with-params"])
+        "rf-learning-rate", "tune-first-with-params", "manifest-number", "manifest-null",
+        "manifest-list", "manifest-empty", "output-dir-empty", "output-dir-number"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)

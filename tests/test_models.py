@@ -264,6 +264,22 @@ def test_predict_is_the_tree_order_sum_so_a_smaller_fit_is_a_prefix(kind):
                           small.combine_tree_total(running).view(np.int64))
 
 
+@pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOST])
+def test_a_single_row_prediction_is_the_tree_order_sum(kind):
+    # numpy sums one value per tree as a single vector, pairwise once there
+    # are 8 or more trees, where several rows are added one after another
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(120, 6))
+    y = X[:, 0] - 2.0 * X[:, 4] + rng.normal(scale=0.3, size=120)
+    params = EnsembleParams(kind=kind, n_estimators=30, max_depth=4, features_per_split=1 / 2,
+                            bootstrap=kind is ModelKind.RANDOM_FOREST)
+    model = fit_model(X, y, params, seed=9)
+    for x in rng.normal(size=(40, 1, 6)):
+        running = np.cumsum(model.per_tree_predictions(x), axis=0)[-1]
+        assert np.array_equal(model.predict(x).view(np.int64),
+                              model.combine_tree_total(running).view(np.int64))
+
+
 def test_gbt_one_full_stage_matches_single_tree_residuals():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(60, 2))
