@@ -923,18 +923,25 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     ("importance", "--out", "", "bad value for --out: expected a path, got ''"),
     ("run", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--power", "3", "--power given, but the config has no 'index' section"),
+    ("run-fra-cell", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
+    ("run-fra-cell", "--windows", "0", "bad value for --windows: expected a list of integers >= 1"),
 ], ids=["windows-empty", "periods-empty", "periods-month", "periods-week-date",
         "periods-basic-date", "importance-period-basic-date", "importance-period-week-date",
         "target-features", "holdout", "power", "out-empty", "top-k", "importance-out-empty",
-        "run-power-without-index", "importance-power-without-index", "importance-window-zero"])
+        "run-power-without-index", "fra-power-without-index", "importance-power-without-index",
+        "importance-window-zero", "fra-window-zero"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
     monkeypatch.chdir(tmp_path)   # an empty --out would mean this directory
-    cell = {"run": [],
-            "importance": ["--period", "2019-01-01", "--window", "7", "--method", "pearson"]}
-    assert main([command, "--config", str(config), *cell[command], flag, value]) == 1
+    argv = {"run": ["run"],
+            "importance": ["importance", "--period", "2019-01-01", "--window", "7",
+                           "--method", "pearson"],
+            # run held to one period with the FRA size flags set, as an FRA audit is made
+            "run-fra-cell": ["run", "--periods", "2019-01-01", "--target-features", "8",
+                             "--top-k", "8"]}
+    assert main([*argv[command], "--config", str(config), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus"]
