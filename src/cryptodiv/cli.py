@@ -131,6 +131,10 @@ def _checked(where: str, fn: Callable, *args, **kwargs):
 
 def _periods(values) -> tuple[date, ...]:
     """YYYY-MM-DD period starts. Scenario labels carry only the year, so no two may share one."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of YYYY-MM-DD dates, got {values!r}")
+    if not values:
+        raise ValueError("expected a list of YYYY-MM-DD dates, got [], which leaves no scenario cells")
     periods = tuple(parse_day(p) for p in values)
     seen: dict[int, date] = {}
     for p in periods:
@@ -142,11 +146,13 @@ def _periods(values) -> tuple[date, ...]:
 
 
 def _positive_ints(value, allow_empty: bool = False) -> tuple[int, ...]:
-    """A list of integers, each at least 1; true/false are not integers here."""
+    """A list of distinct integers, each at least 1; true/false are not integers here."""
     if not isinstance(value, list) or not all(type(v) is int and v >= 1 for v in value):
         raise ValueError(f"expected a list of integers >= 1, got {value!r}")
     if not value and not allow_empty:
         raise ValueError("expected a list of integers >= 1, got [], which leaves no scenario cells")
+    if len(set(value)) < len(value):
+        raise ValueError(f"expected no repeated value, got {value!r}")
     return tuple(value)
 
 
@@ -419,6 +425,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if result.label in paths:
             print(f"error: {paths[result.label]} and {path} both hold scenario {result.label}",
                   file=sys.stderr)
+            return 1
+        if path.stem != result.label:
+            print(f"error: {path} holds scenario {result.label}, so it must be named "
+                  f"{result.label}.json", file=sys.stderr)
             return 1
         paths[result.label] = path
         results.append(result)

@@ -89,7 +89,6 @@ class Dataset:
     features: dict[str, np.ndarray]
     categories: dict[str, Category]
     target: np.ndarray | None = None
-    window: int | None = None
 
     def __post_init__(self):
         self.dates = np.asarray(self.dates, dtype="datetime64[D]")
@@ -132,7 +131,6 @@ class Dataset:
             features={n: v for n, v in self.features.items() if n in keep},
             categories={n: c for n, c in self.categories.items() if n in keep},
             target=self.target,
-            window=self.window,
         )
 
     def rows(self, start: int, stop: int) -> "Dataset":
@@ -141,7 +139,6 @@ class Dataset:
             features={n: v[start:stop] for n, v in self.features.items()},
             categories=dict(self.categories),
             target=None if self.target is None else self.target[start:stop],
-            window=self.window,
         )
 
 
@@ -532,7 +529,6 @@ def make_target(dataset: Dataset, price: np.ndarray, window: int) -> Dataset:
         raise ValueError("index price has interior gaps over the dataset dates")
     out = dataset.rows(0, last + 1)
     out.target = future[:last + 1]
-    out.window = window
     return out
 
 

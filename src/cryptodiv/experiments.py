@@ -10,7 +10,7 @@ single-category baselines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -171,12 +171,12 @@ def _merge_group(label: str, windows: tuple[int, ...],
     return HorizonGroup(label=label, windows=windows, importance=merged)
 
 
-def top_k(group: HorizonGroup, k: int = 5) -> list[tuple[str, float]]:
+def top_k(group: HorizonGroup, k: int) -> list[tuple[str, float]]:
     ranked = sorted(group.importance.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 
 
-def unique_top_k(group_a: HorizonGroup, group_b: HorizonGroup, k: int = 20
+def unique_top_k(group_a: HorizonGroup, group_b: HorizonGroup, k: int
                  ) -> list[tuple[str, float]]:
     """Highest-importance features present in group A but absent from B."""
     only_a = {f: v for f, v in group_a.importance.items() if f not in group_b.importance}
@@ -295,8 +295,8 @@ def run_scenario(corpus: Dataset, scenario: Scenario, config: PipelineConfig) ->
     seed = scenario_seed(config.seed, scenario)
     stage = partial(run_stage, scenario.label)
     train, test = stage("prepare", cell_blocks, corpus, scenario, config)
-    fra_result: ReducedFeatureSet = stage("fra", fra_reduce, train,
-                                          replace(config.fra, seed=_fra_seed(scenario, config)))
+    fra_result: ReducedFeatureSet = stage("fra", fra_reduce, train, config.fra,
+                                          _fra_seed(scenario, config))
 
     shap_report = stage("shapley", _shapley_ranking, fra_result.full_forest, train,
                         config.shapley, seed)

@@ -43,7 +43,6 @@ class FraConfig:
     cv_folds: int = 5
     pfi_repeats: int = 3
     max_iterations: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.target_count < 1:
@@ -107,15 +106,15 @@ def _mean_ranks(features: Sequence[str], reports: dict[str, ImportanceReport]) -
     return {f: total / len(reports) for f, total in ranks.items()}
 
 
-def _resolve_params(dataset: Dataset, features: list[str], config: FraConfig
+def _resolve_params(dataset: Dataset, features: list[str], config: FraConfig, seed: int
                     ) -> tuple[EnsembleParams, EnsembleParams]:
     if config.tune_first:
         X = dataset.matrix(features)
         y = dataset.target
         rf_cv = grid_search_cv(X, y, default_rf_grid(), k=config.cv_folds,
-                               seed=derive_seed(config.seed, "fra", "tune", "rf"))
+                               seed=derive_seed(seed, "fra", "tune", "rf"))
         gbt_cv = grid_search_cv(X, y, default_gbt_grid(), k=config.cv_folds,
-                                seed=derive_seed(config.seed, "fra", "tune", "gbt"))
+                                seed=derive_seed(seed, "fra", "tune", "gbt"))
         return rf_cv.best_params, gbt_cv.best_params
     return (config.rf_params or DEFAULT_RF_PARAMS,
             config.gbt_params or DEFAULT_GBT_PARAMS)
@@ -123,7 +122,7 @@ def _resolve_params(dataset: Dataset, features: list[str], config: FraConfig
 
 def evaluate_methods(dataset: Dataset, features: list[str], rf_params: EnsembleParams,
                      gbt_params: EnsembleParams, pfi_repeats: int, seed: int,
-                     round_key: int = 0) -> tuple[dict[str, ImportanceReport], TreeEnsemble]:
+                     round_key: int) -> tuple[dict[str, ImportanceReport], TreeEnsemble]:
     """Fit both models on the given features; the four rankings and the forest."""
     X = dataset.matrix(features)
     y = dataset.target
@@ -155,7 +154,7 @@ def rf_pfi(rf: TreeEnsemble, X: np.ndarray, y: np.ndarray, pfi_repeats: int, see
                jobs=jobs)
 
 
-def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
+def fra_reduce(dataset: Dataset, config: FraConfig, seed: int) -> ReducedFeatureSet:
     """Run the elimination loop until at most target_count features remain.
 
     A feature is removed when it lies in the bottom half of all four
@@ -173,20 +172,20 @@ def fra_reduce(dataset: Dataset, config: FraConfig) -> ReducedFeatureSet:
     if not original:
         raise ValueError("dataset has no features")
 
-    rf_params, gbt_params = _resolve_params(dataset, original, config)
+    rf_params, gbt_params = _resolve_params(dataset, original, config, seed)
     correlation = pearson_report(dataset.features, dataset.target).scores
 
     current = list(original)
     records: list[IterationRecord] = []
     threshold = config.corr_start
     reports, full_forest = evaluate_methods(dataset, current, rf_params, gbt_params,
-                                            config.pfi_repeats, config.seed, round_key=1)
+                                            config.pfi_repeats, seed, round_key=1)
 
     while len(current) > config.target_count and len(records) < config.max_iterations:
         iteration = len(records) + 1
         if iteration > 1:
             reports, _ = evaluate_methods(dataset, current, rf_params, gbt_params,
-                                          config.pfi_repeats, config.seed, round_key=iteration)
+                                          config.pfi_repeats, seed, round_key=iteration)
         in_all_bottoms = set.intersection(*(bottom_half(r) for r in reports.values()))
         removal = sorted(f for f in in_all_bottoms if correlation[f] < threshold)
         forced = False

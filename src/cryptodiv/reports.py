@@ -65,20 +65,20 @@ def _horizon_groups(results: Sequence[ScenarioResult]) -> dict[str, tuple[Horizo
     return groups
 
 
-def render_top_features_csv(results: Sequence[ScenarioResult], k: int = 5) -> str:
+def render_top_features_csv(results: Sequence[ScenarioResult]) -> str:
     lines = ["set,horizon,rank,feature,importance"]
     for period, (short, long) in sorted(_horizon_groups(results).items()):
         for group in (short, long):
-            for rank, (feature, value) in enumerate(top_k(group, k), start=1):
+            for rank, (feature, value) in enumerate(top_k(group, 5), start=1):
                 lines.append(f"{period},{group.label},{rank},{feature},{value!r}")
     return "\n".join(lines) + "\n"
 
 
-def render_unique_features_csv(results: Sequence[ScenarioResult], k: int = 20) -> str:
+def render_unique_features_csv(results: Sequence[ScenarioResult]) -> str:
     lines = ["set,horizon,rank,feature,importance"]
     for period, (short, long) in sorted(_horizon_groups(results).items()):
         for group, other in ((short, long), (long, short)):
-            for rank, (feature, value) in enumerate(unique_top_k(group, other, k), start=1):
+            for rank, (feature, value) in enumerate(unique_top_k(group, other, 20), start=1):
                 lines.append(f"{period},{group.label},{rank},{feature},{value!r}")
     return "\n".join(lines) + "\n"
 

@@ -187,7 +187,7 @@ def test_criterion_6_fra_planted_relevance():
         successes = 0
         for seed in range(20):
             ds = planted_dataset(seed)
-            out = fra_reduce(ds, planted_config(seed))
+            out = fra_reduce(ds, planted_config(), seed)
             assert len(out.iterations) <= 200
             assert not out.forced_stop
             removed = out.removed

@@ -12,6 +12,7 @@ import pytest
 
 from cryptodiv import experiments, fra, indicators, models
 from cryptodiv.cli import ConfigError, load_run_config, main
+from cryptodiv.data import Scenario
 from cryptodiv.experiments import StageError
 
 from synthetic import scenario_result, write_corpus, write_run_config
@@ -577,6 +578,18 @@ def test_report_rejects_two_files_that_hold_one_cell(tmp_path, capsys):
     assert not (results / "tables").exists()
 
 
+def test_report_rejects_a_file_not_named_after_its_cell(tmp_path, capsys):
+    results = tmp_path / "results"
+    scenario_dir = results / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    # cell 2019_7 under the name of cell 2018_90
+    (scenario_dir / "2018_90.json").write_text(experiments.result_to_json(scenario_result()))
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (f"error: {scenario_dir / '2018_90.json'} holds scenario "
+                                       f"2019_7, so it must be named 2019_7.json\n")
+    assert not (results / "tables").exists()
+
+
 # ---------------------------------------------------------------------------
 # importance subcommand
 # ---------------------------------------------------------------------------
@@ -704,22 +717,26 @@ def test_run_writes_the_fra_audit_of_each_cell(tmp_path, monkeypatch, no_round):
     config, _, _ = small_setup(tmp_path, seed=3)
     if no_round:
         without_fra_rounds(config)
-    by_cell = {}
+    by_seed = {}
     original = experiments.fra_reduce
 
-    def capturing(train, fra_config):
-        result = original(train, fra_config)
-        by_cell.setdefault((train.dates[0].item(), train.window), result)
+    def capturing(train, fra_config, seed):
+        result = original(train, fra_config, seed)
+        by_seed.setdefault(seed, result)
         return result
 
     monkeypatch.setattr(experiments, "fra_reduce", capturing)
     serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
     assert main(["run", "--config", str(config), "--out", str(serial), "--jobs", "1"]) == 0
-    assert len(by_cell) == 4
-    assert (by_cell[(date(2019, 1, 1), 7)].iterations == []) == no_round
+    cfg = load_run_config(config)
+    cells = [Scenario(p, w) for p in cfg.periods for w in cfg.windows]
+    # each cell's reduction, found by the cell's FRA seed
+    by_cell = {s: by_seed[experiments._fra_seed(s, cfg.pipeline)] for s in cells}
+    assert len(by_seed) == len(by_cell) == 4
+    assert (by_cell[Scenario(date(2019, 1, 1), 7)].iterations == []) == no_round
     audits = {k: v for k, v in tree_bytes(serial).items() if k.startswith("fra/")}
-    assert audits == {f"fra/{start.year}_{window}_audit.json": fra.audit_json(result).encode()
-                      for (start, window), result in by_cell.items()}
+    assert audits == {f"fra/{s.label}_audit.json": fra.audit_json(result).encode()
+                      for s, result in by_cell.items()}
     # the workers send each audit back as text with its cell's result
     assert main(["run", "--config", str(config), "--out", str(parallel), "--jobs", "2"]) == 0
     assert tree_bytes(parallel) == tree_bytes(serial)
@@ -926,11 +943,12 @@ def test_windows_override_checked_like_config(tmp_path, capsys, windows):
     ("run-fra-cell", "--power", "3", "--power given, but the config has no 'index' section"),
     ("importance", "--window", "0", "bad value for --window: window must be >= 1, got 0"),
     ("run-fra-cell", "--windows", "0", "bad value for --windows: expected a list of integers >= 1"),
+    ("run", "--windows", "7,7", "bad value for --windows: expected no repeated value, got [7, 7]"),
 ], ids=["windows-empty", "periods-empty", "periods-month", "periods-week-date",
         "periods-basic-date", "importance-period-basic-date", "importance-period-week-date",
         "target-features", "holdout", "power", "out-empty", "top-k", "importance-out-empty",
         "run-power-without-index", "fra-power-without-index", "importance-power-without-index",
-        "importance-window-zero", "fra-window-zero"])
+        "importance-window-zero", "fra-window-zero", "windows-repeated"])
 def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value,
                                        named):
     config, out_dir, _ = small_setup(tmp_path)
@@ -1031,6 +1049,10 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("manifest",), "", "'manifest' at config root: expected a non-empty string"),
     (("output_dir",), "", "'output_dir' at config root: expected a non-empty string"),
     (("output_dir",), 5, "'output_dir' at config root: expected a non-empty string"),
+    (("periods",), [], "'periods' at config root: expected a list of YYYY-MM-DD dates"),
+    (("periods",), "2019-01-01", "'periods' at config root: expected a list of YYYY-MM-DD dates"),
+    (("windows",), [7, 1, 7], "'windows' at config root: expected no repeated value"),
+    (("indicator_windows",), [5, 5], "'indicator_windows' at config root: expected no repeated"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
@@ -1040,7 +1062,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "periods-basic-date", "periods-number", "rf-kind", "gbt-kind",
         "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count", "gbt-bootstrap",
         "rf-learning-rate", "tune-first-with-params", "manifest-number", "manifest-null",
-        "manifest-list", "manifest-empty", "output-dir-empty", "output-dir-number"])
+        "manifest-list", "manifest-empty", "output-dir-empty", "output-dir-number",
+        "periods-empty", "periods-string", "cell-windows-repeated", "windows-repeated"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)

@@ -470,7 +470,6 @@ def test_make_target_shift_by_one(day):
     out = make_target(ds, price, window=1)
     assert out.n_rows == 2
     assert list(out.target) == [11.0, 12.0]
-    assert out.window == 1
 
 
 def test_make_target_window_zero_rejected(day):

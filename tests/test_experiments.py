@@ -144,7 +144,7 @@ def _improvement_fixture(n=300, seed=0):
     ds = Dataset(dates=dates,
                  features={"a": a, "b": b},
                  categories={"a": Category.ONCHAIN_BTC, "b": Category.MACRO},
-                 target=y, window=1)
+                 target=y)
     return ds
 
 
@@ -178,7 +178,7 @@ def test_improvement_degenerate_leak_rejected():
     ds = Dataset(dates=dates,
                  features={"a": np.arange(float(n)), "b": np.ones(n)},
                  categories={"a": Category.MACRO, "b": Category.TECHNICAL},
-                 target=np.full(n, 3.0), window=1)
+                 target=np.full(n, 3.0))
     train, test = chronological_split(ds, 0.2)
     with pytest.raises(ValueError, match="exactly 0"):
         improvement(EnsembleParams(n_estimators=2, max_depth=3), 0, train, test, ["a", "b"],
@@ -316,7 +316,6 @@ def test_prepare_dataset_shapes():
     corpus = diversity_corpus(seed=6, n_days=400, window=7)
     config = fast_config(seed=0)
     ds = prepare_dataset(corpus, Scenario(date(2019, 1, 1), 7), config)
-    assert ds.window == 7
     assert ds.n_rows == 400 - 7
     assert "idx" not in ds.features
     assert len(ds.features) == 10

@@ -32,12 +32,12 @@ def planted_dataset(seed, n=500, n_informative=8, n_noise=32, feature_order=None
         features = {k: features[k] for k in feature_order}
     dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(n))
     return Dataset(dates=dates, features=features, categories=categories,
-                   target=target, window=1)
+                   target=target)
 
 
-def planted_config(seed, target_count=10):
+def planted_config(target_count=10):
     return FraConfig(target_count=target_count, top_k_union=min(10, target_count),
-                     rf_params=RF_PARAMS, gbt_params=GBT_PARAMS, pfi_repeats=1, seed=seed)
+                     rf_params=RF_PARAMS, gbt_params=GBT_PARAMS, pfi_repeats=1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_fra_noop_when_at_or_below_target(monkeypatch):
 
     monkeypatch.setattr(fra_module, "evaluate_methods", capturing)
     ds = planted_dataset(0, n=200, n_informative=3, n_noise=3)
-    out = fra_reduce(ds, planted_config(0, target_count=10))
+    out = fra_reduce(ds, planted_config(target_count=10), 0)
     assert out.iterations == [] and not out.forced_stop
     # round 1 still ranks every candidate, and its forest is the full forest
     assert len(rounds) == 1
@@ -100,10 +100,10 @@ def test_fra_ranks_candidates_when_no_round_removes():
                 "zz_signal": target + 0.01 * target.std() * rng.normal(size=n)}
     dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(n))
     ds = Dataset(dates=dates, features=features,
-                 categories={f: Category.MACRO for f in features}, target=target, window=1)
+                 categories={f: Category.MACRO for f in features}, target=target)
     config = FraConfig(target_count=5, top_k_union=2, rf_params=RF_PARAMS,
-                       gbt_params=GBT_PARAMS, pfi_repeats=1, seed=0)
-    out = fra_reduce(ds, config)
+                       gbt_params=GBT_PARAMS, pfi_repeats=1)
+    out = fra_reduce(ds, config, 0)
     assert out.iterations == [] and not out.forced_stop
     assert out.survivors[0] == "zz_signal"
     assert sorted(out.survivors) == ["aa_noise", "mm_noise", "zz_signal"]
@@ -115,7 +115,7 @@ def test_fra_ranks_candidates_when_no_round_removes():
 def test_fra_planted_relevance_small():
     for seed in (0, 1, 2):
         ds = planted_dataset(seed)
-        out = fra_reduce(ds, planted_config(seed))
+        out = fra_reduce(ds, planted_config(), seed)
         informative = [f for f in out.survivors if f.startswith("signal")]
         assert len(informative) >= 7
         assert len(out.survivors) <= 10
@@ -124,7 +124,7 @@ def test_fra_planted_relevance_small():
 
 def test_fra_audit_partitions_features():
     ds = planted_dataset(3)
-    out = fra_reduce(ds, planted_config(3))
+    out = fra_reduce(ds, planted_config(), 3)
     removed = out.removed
     assert len(removed) == len(set(removed))
     assert set(removed) | set(out.survivors) == set(ds.feature_names)
@@ -133,8 +133,7 @@ def test_fra_audit_partitions_features():
 
 def test_fra_removal_soundness_from_audit():
     ds = planted_dataset(4)
-    config = planted_config(4)
-    out = fra_reduce(ds, config)
+    out = fra_reduce(ds, planted_config(), 4)
     from cryptodiv.importance import pearson_report
     correlation = pearson_report(ds.features, ds.target).scores
     for rec in out.iterations:
@@ -148,7 +147,7 @@ def test_fra_removal_soundness_from_audit():
 
 def test_fra_feature_count_non_increasing():
     ds = planted_dataset(5)
-    out = fra_reduce(ds, planted_config(5))
+    out = fra_reduce(ds, planted_config(), 5)
     count = len(ds.feature_names)
     for rec in out.iterations:
         assert len(rec.removed) >= 0
@@ -161,8 +160,8 @@ def test_fra_column_order_invariance():
     rng = np.random.default_rng(99)
     shuffled = list(order)
     rng.shuffle(shuffled)
-    a = fra_reduce(planted_dataset(6), planted_config(6))
-    b = fra_reduce(planted_dataset(6, feature_order=shuffled), planted_config(6))
+    a = fra_reduce(planted_dataset(6), planted_config(), 6)
+    b = fra_reduce(planted_dataset(6, feature_order=shuffled), planted_config(), 6)
     assert a.survivors == b.survivors
     assert [r.removed for r in a.iterations] == [r.removed for r in b.iterations]
 
@@ -179,10 +178,10 @@ def test_fra_correlated_copies_terminate():
                   "copy_c": target.copy()},
         categories={"copy_a": Category.MACRO, "copy_b": Category.MACRO,
                     "copy_c": Category.MACRO},
-        target=target, window=1)
+        target=target)
     config = FraConfig(target_count=1, top_k_union=1, rf_params=RF_PARAMS,
-                       gbt_params=GBT_PARAMS, pfi_repeats=1, seed=0)
-    out = fra_reduce(ds, config)
+                       gbt_params=GBT_PARAMS, pfi_repeats=1)
+    out = fra_reduce(ds, config, 0)
     assert len(out.survivors) == 1
     assert not out.forced_stop
     assert len(out.iterations) <= 200
@@ -205,15 +204,15 @@ def test_fra_forced_progress_rule(monkeypatch):
         "gbt_pfi": ImportanceReport("pfi", {f: float((i + 1) % 2) for i, f in enumerate(features)}),
     }
 
-    def stub(dataset, current, rf_params, gbt_params, pfi_repeats, seed, round_key=0):
+    def stub(dataset, current, rf_params, gbt_params, pfi_repeats, seed, round_key):
         return {m: ImportanceReport(r.method, {f: r.scores[f] for f in current})
                 for m, r in fixed.items()}, None
 
     import cryptodiv.fra as fra_module
     monkeypatch.setattr(fra_module, "evaluate_methods", stub)
     config = FraConfig(target_count=2, top_k_union=2, corr_start=1.0,
-                       rf_params=RF_PARAMS, gbt_params=GBT_PARAMS, seed=0)
-    out = fra_reduce(ds, config)
+                       rf_params=RF_PARAMS, gbt_params=GBT_PARAMS)
+    out = fra_reduce(ds, config, 0)
     assert len(out.survivors) == 2
     forced_recs = [rec for rec in out.iterations if rec.forced]
     assert forced_recs and all(len(rec.removed) == 1 for rec in forced_recs)
@@ -224,8 +223,8 @@ def test_fra_forced_progress_rule(monkeypatch):
 def test_fra_max_iterations_flag():
     ds = planted_dataset(8, n=250, n_informative=4, n_noise=8)
     config = FraConfig(target_count=1, top_k_union=1, rf_params=RF_PARAMS,
-                       gbt_params=GBT_PARAMS, pfi_repeats=1, max_iterations=2, seed=0)
-    out = fra_reduce(ds, config)
+                       gbt_params=GBT_PARAMS, pfi_repeats=1, max_iterations=2)
+    out = fra_reduce(ds, config, 0)
     assert out.forced_stop
     assert len(out.iterations) == 2
     assert len(out.survivors) > 1
@@ -235,12 +234,12 @@ def test_fra_requires_target():
     ds = planted_dataset(9, n=100, n_informative=2, n_noise=2)
     ds.target = None
     with pytest.raises(ValueError, match="target"):
-        fra_reduce(ds, planted_config(9))
+        fra_reduce(ds, planted_config(), 9)
 
 
 def test_fra_audit_json_replayable():
     ds = planted_dataset(10, n=250, n_informative=4, n_noise=12)
-    out = fra_reduce(ds, planted_config(10, target_count=6))
+    out = fra_reduce(ds, planted_config(target_count=6), 10)
     doc = json.loads(audit_json(out))
     assert doc["survivors"] == out.survivors
     assert len(doc["iterations"]) == len(out.iterations)
@@ -261,8 +260,8 @@ def test_fra_tune_first_uses_grid_search(monkeypatch):
     monkeypatch.setattr(fra_module, "default_gbt_grid", lambda: tiny_gbt)
     ds = planted_dataset(15, n=200, n_informative=3, n_noise=9)
     config = FraConfig(target_count=6, top_k_union=6, tune_first=True,
-                       cv_folds=3, pfi_repeats=1, seed=2)
-    out = fra_reduce(ds, config)
+                       cv_folds=3, pfi_repeats=1)
+    out = fra_reduce(ds, config, 2)
     assert out.rf_params in tiny_rf
     assert out.gbt_params is tiny_gbt[0]
     assert len(out.survivors) <= 6

@@ -556,9 +556,9 @@ def test_mdi_invariant_to_dataset_column_order():
     y = cols["f2"] + 0.5 * cols["f0"] + rng.normal(scale=0.1, size=n)
     dates = tuple(date(2019, 1, 1) + timedelta(days=i) for i in range(n))
     cats = {k: Category.MACRO for k in cols}
-    forward = Dataset(dates=dates, features=dict(cols), categories=cats, target=y, window=1)
+    forward = Dataset(dates=dates, features=dict(cols), categories=cats, target=y)
     backward = Dataset(dates=dates, features=dict(reversed(list(cols.items()))),
-                       categories=cats, target=y, window=1)
+                       categories=cats, target=y)
     params = EnsembleParams(n_estimators=10, max_depth=5, features_per_split=0.5)
     score_a = mdi(fit_forest(forward.matrix(), y, params, seed=3,
                              feature_names=forward.feature_names)).scores
