@@ -26,7 +26,7 @@ from ._parallel import WorkerDied, fork_map
 from ._syntax import parse_day
 from .data import Category, Scenario
 from .experiments import PipelineConfig, ShapleySettings, StageError
-from .fra import FraConfig
+from .fra import DEFAULT_GBT_PARAMS, DEFAULT_RF_PARAMS, FraConfig
 from .models import EnsembleParams, ModelKind
 
 
@@ -107,18 +107,21 @@ def _build(cls, doc: dict, where: str, **given):
         raise ConfigError(f"bad value at {where}: {exc}") from exc
 
 
-def _parse_params(fra_doc: dict, key: str, kind: ModelKind) -> EnsembleParams | None:
-    """fra.rf or fra.gbt: a forest has no learning rate, and boosting never bootstraps."""
+def _parse_params(fra_doc: dict, key: str, default: EnsembleParams) -> EnsembleParams | None:
+    """fra.rf or fra.gbt laid over `default`: a forest has no learning rate, and boosting
+    never bootstraps."""
     if key not in fra_doc:
         return None
     where = f"fra.{key}"
-    forest = kind is ModelKind.RANDOM_FOREST
+    forest = default.kind is ModelKind.RANDOM_FOREST
     allowed = _PARAM_KEYS - {"learning_rate"} if forest else _PARAM_KEYS
     section = _section(fra_doc, key, allowed, where)
     if not forest and section.get("bootstrap", False) is not False:
         raise ConfigError(f"bad value for 'bootstrap' at {where}: expected false, "
                           f"got {section['bootstrap']!r}")
-    return _build(EnsembleParams, {"bootstrap": forest, **section}, where, kind=kind)
+    unset = {f.name: getattr(default, f.name) for f in dataclasses.fields(default)
+             if f.name not in section}
+    return _build(EnsembleParams, section, where, **unset)
 
 
 def _checked(where: str, fn: Callable, *args, **kwargs):
@@ -151,9 +154,14 @@ def _positive_ints(value, allow_empty: bool = False) -> tuple[int, ...]:
         raise ValueError(f"expected a list of integers >= 1, got {value!r}")
     if not value and not allow_empty:
         raise ValueError("expected a list of integers >= 1, got [], which leaves no scenario cells")
-    if len(set(value)) < len(value):
-        raise ValueError(f"expected no repeated value, got {value!r}")
-    return tuple(value)
+    return _distinct(value)
+
+
+def _distinct(values: list) -> tuple:
+    """The values of a list in which none repeats."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"expected no repeated value, got {values!r}")
+    return tuple(values)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -178,8 +186,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     base = path.parent
     fra_doc = _section(doc, "fra", _FRA_KEYS, "fra")
     fra_config = _build(FraConfig, fra_doc, "fra",
-                        rf_params=_parse_params(fra_doc, "rf", ModelKind.RANDOM_FOREST),
-                        gbt_params=_parse_params(fra_doc, "gbt", ModelKind.GRADIENT_BOOST))
+                        rf_params=_parse_params(fra_doc, "rf", DEFAULT_RF_PARAMS),
+                        gbt_params=_parse_params(fra_doc, "gbt", DEFAULT_GBT_PARAMS))
     shapley = _build(ShapleySettings, _section(doc, "shapley", _SHAP_KEYS, "shapley"), "shapley")
 
     cells = {key: _checked(f"'{key}' at config root", parse, doc[key])
@@ -191,7 +199,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         if not isinstance(sources, list) or not all(isinstance(v, str) for v in sources):
             raise ConfigError(f"bad value for 'indicator_sources' at config root: "
                               f"expected a list of strings, got {sources!r}")
-        given["indicator_sources"] = tuple(sources)
+        given["indicator_sources"] = _checked("'indicator_sources' at config root", _distinct,
+                                              sources)
     if "indicator_windows" in doc:
         # an empty list means no indicators
         given["indicator_windows"] = _checked("'indicator_windows' at config root",
@@ -285,6 +294,13 @@ def _prepare_corpus(cfg: RunConfig):
     cleaned, drop_log, imputed = data.clean_corpus(corpus, cfg.flat_run_max, cfg.missing_ratio_max)
     cleaned = indicators.augment_corpus(cleaned, pipeline.indicator_sources,
                                         pipeline.indicator_windows)
+    # every cell predicts the target, so a missing one fails here, before any file is written
+    target = pipeline.target_metric
+    if target not in cleaned.features:
+        reason = next((f"was dropped by cleaning: {r.reason} ({r.detail})"
+                       for r in drop_log if r.metric == target),
+                      "is neither in the manifest nor the index target")
+        raise ConfigError(f"target_metric {target!r} {reason}")
     return cleaned, drop_log, imputed, index_rows
 
 

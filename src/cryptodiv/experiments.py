@@ -2,9 +2,8 @@
 
 A scenario is one (period start, prediction window) cell. run_scenario
 composes the full pipeline for one cell; the helpers below compute the
-derived analyses: per-category contribution factors, short/long horizon
-merges, and the MSE improvement of the diverse feature vector over
-single-category baselines.
+derived analyses: per-category contribution factors and the MSE
+improvement of the diverse feature vector over single-category baselines.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .importance import ImportanceReport, mdi, pearson_report, shapley_sampled
 from .models import EnsembleParams, TreeEnsemble, fit_forest, mse
 from .seeding import derive_seed, substream
 
-SHORT_TERM_WINDOWS = (1, 7)
-LONG_TERM_WINDOWS = (90, 180)
 IMPORTANCE_METHODS = ("pearson", "mdi", "pfi", "shapley")
 
 
@@ -137,51 +134,6 @@ def contribution_factors(final_features: Sequence[str],
                 f"{cat.value}: {n_surviving} survivors exceed {count} candidates")
         factors[cat] = n_surviving / count
     return factors
-
-
-@dataclass
-class HorizonGroup:
-    label: str
-    windows: tuple[int, ...]
-    importance: dict[str, float]
-
-
-def group_horizons(importance_by_window: Mapping[int, Mapping[str, float]]
-                   ) -> tuple[HorizonGroup, HorizonGroup]:
-    """Merge per-window importance maps into short/long-term groups.
-
-    Features present in both member windows get the arithmetic mean of
-    their importance; features in one window keep their value.
-    """
-    short = _merge_group("short_term", SHORT_TERM_WINDOWS, importance_by_window)
-    long = _merge_group("long_term", LONG_TERM_WINDOWS, importance_by_window)
-    return short, long
-
-
-def _merge_group(label: str, windows: tuple[int, ...],
-                 importance_by_window: Mapping[int, Mapping[str, float]]) -> HorizonGroup:
-    missing = [w for w in windows if w not in importance_by_window]
-    if missing:
-        raise ValueError(f"{label}: missing member scenario(s) for window(s) {missing}")
-    maps = [importance_by_window[w] for w in windows]
-    merged: dict[str, float] = {}
-    for f in sorted(set().union(*maps)):
-        values = [m[f] for m in maps if f in m]
-        merged[f] = float(np.mean(values))
-    return HorizonGroup(label=label, windows=windows, importance=merged)
-
-
-def top_k(group: HorizonGroup, k: int) -> list[tuple[str, float]]:
-    ranked = sorted(group.importance.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
-
-
-def unique_top_k(group_a: HorizonGroup, group_b: HorizonGroup, k: int
-                 ) -> list[tuple[str, float]]:
-    """Highest-importance features present in group A but absent from B."""
-    only_a = {f: v for f, v in group_a.importance.items() if f not in group_b.importance}
-    ranked = sorted(only_a.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
 
 
 def improvement(params: EnsembleParams, seed: int, train: Dataset, test: Dataset,
@@ -403,23 +355,34 @@ def result_from_json(text: str) -> ScenarioResult:
     if type(window) is not int or window < 1:   # true/false are not windows
         raise ValueError(f"scenario.window: expected an integer >= 1, got {window!r}")
     scenario = Scenario(start, window)
+    by_category = doc["improvement"]["improvement_by_category"]
     improvement_result = ImprovementResult(
         mse_diverse=doc["improvement"]["mse_diverse"],
         mse_by_category={Category(c): v for c, v in doc["improvement"]["mse_by_category"].items()},
-        improvement_by_category={Category(c): v for c, v in
-                                 doc["improvement"]["improvement_by_category"].items()},
-        mean_improvement=doc["improvement"]["mean_improvement"],
+        improvement_by_category={
+            Category(c): _number(v, f"improvement.improvement_by_category.{c}")
+            for c, v in by_category.items()},
+        mean_improvement=_number(doc["improvement"]["mean_improvement"],
+                                 "improvement.mean_improvement"),
     )
     return ScenarioResult(
         scenario=scenario,
         final_features=list(doc["final_features"]),
         feature_categories={f: Category(c) for f, c in doc["feature_categories"].items()},
         candidate_counts={Category(c): n for c, n in doc["candidate_counts"].items()},
-        contribution_factors={Category(c): v for c, v in doc["contribution_factors"].items()},
-        rf_importance=doc["rf_importance"],
+        contribution_factors={Category(c): _number(v, f"contribution_factors.{c}")
+                              for c, v in doc["contribution_factors"].items()},
+        rf_importance={f: _number(v, f"rf_importance.{f}") for f, v in doc["rf_importance"].items()},
         model_summary=doc["model_summary"],
         improvement=improvement_result,
         fra_iterations=doc["fra"]["iterations"],
         fra_forced_stop=doc["fra"]["forced_stop"],
         shap_overlap=doc["shap_overlap"],
     )
+
+
+def _number(value, where: str):
+    """A stored value that a table prints: a JSON number, which true/false are not."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    return value

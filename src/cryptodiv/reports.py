@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ._syntax import sum_in_order
 from .data import Category, DropRecord
-from .experiments import (HorizonGroup, LONG_TERM_WINDOWS, SHORT_TERM_WINDOWS,
-                          ScenarioResult, group_horizons, top_k, unique_top_k)
+from .experiments import ScenarioResult
+
+# The windows whose cells each horizon merges, in table order.
+HORIZON_WINDOWS = {"short_term": (1, 7), "long_term": (90, 180)}
 
 # Category display labels, in the order every table lists the categories.
 CATEGORY_LABELS = {
@@ -55,31 +59,49 @@ def render_feature_vectors_csv(results: Sequence[ScenarioResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _horizon_groups(results: Sequence[ScenarioResult]) -> dict[str, tuple[HorizonGroup, HorizonGroup]]:
-    groups = {}
+def horizon_importance(results: Sequence[ScenarioResult]) -> dict[str, dict[str, dict[str, float]]]:
+    """Set -> horizon -> feature -> rf_importance merged over the horizon's windows.
+
+    A feature in both windows of a horizon gets the mean of its two values,
+    one in a single window keeps its value. A set without a cell for each
+    window of HORIZON_WINDOWS gets no entry, so no horizon rows.
+    """
+    merged = {}
     for period, rs in _by_period(results).items():
         by_window = {r.scenario.window: r.rf_importance for r in rs}
-        needed = set(SHORT_TERM_WINDOWS) | set(LONG_TERM_WINDOWS)
-        if needed <= set(by_window):
-            groups[period] = group_horizons(by_window)
-    return groups
+        if not all(w in by_window for windows in HORIZON_WINDOWS.values() for w in windows):
+            continue
+        merged[period] = {}
+        for horizon, windows in HORIZON_WINDOWS.items():
+            maps = [by_window[w] for w in windows]
+            merged[period][horizon] = {f: float(np.mean([m[f] for m in maps if f in m]))
+                                       for f in sorted(set().union(*maps))}
+    return merged
+
+
+def ranked(importance: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+    """The k features of highest importance, ties broken by name."""
+    return sorted(importance.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 def render_top_features_csv(results: Sequence[ScenarioResult]) -> str:
     lines = ["set,horizon,rank,feature,importance"]
-    for period, (short, long) in sorted(_horizon_groups(results).items()):
-        for group in (short, long):
-            for rank, (feature, value) in enumerate(top_k(group, 5), start=1):
-                lines.append(f"{period},{group.label},{rank},{feature},{value!r}")
+    for period, horizons in sorted(horizon_importance(results).items()):
+        for horizon, importance in horizons.items():
+            for rank, (feature, value) in enumerate(ranked(importance, 5), start=1):
+                lines.append(f"{period},{horizon},{rank},{feature},{value!r}")
     return "\n".join(lines) + "\n"
 
 
 def render_unique_features_csv(results: Sequence[ScenarioResult]) -> str:
+    """Each horizon's top 20 among the features that the other horizon lacks."""
     lines = ["set,horizon,rank,feature,importance"]
-    for period, (short, long) in sorted(_horizon_groups(results).items()):
-        for group, other in ((short, long), (long, short)):
-            for rank, (feature, value) in enumerate(unique_top_k(group, other, 20), start=1):
-                lines.append(f"{period},{group.label},{rank},{feature},{value!r}")
+    for period, horizons in sorted(horizon_importance(results).items()):
+        short, long = horizons.values()
+        for horizon, importance, other in (("short_term", short, long), ("long_term", long, short)):
+            unique = {f: v for f, v in importance.items() if f not in other}
+            for rank, (feature, value) in enumerate(ranked(unique, 20), start=1):
+                lines.append(f"{period},{horizon},{rank},{feature},{value!r}")
     return "\n".join(lines) + "\n"
 
 

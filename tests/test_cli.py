@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import platform
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -298,7 +300,10 @@ def cpu_settings() -> dict[str, dict[str, str]]:
     return settings
 
 
-def test_run_writes_the_same_bytes_on_every_cpu_code_path(tmp_path):
+@pytest.fixture(scope="module")
+def cpu_path_trees(tmp_path_factory) -> dict[str, dict[str, bytes]]:
+    """The small run's artifact tree on each CPU code path of cpu_settings."""
+    tmp_path = tmp_path_factory.mktemp("cpu-paths")
     # three significant digits tie many values within a column, so the order
     # in which a sort leaves tied rows shows in the artifacts
     config, _, _ = small_setup(tmp_path, digits=3)
@@ -310,11 +315,27 @@ def test_run_writes_the_same_bytes_on_every_cpu_code_path(tmp_path):
         subprocess.run([sys.executable, "-m", "cryptodiv.cli", "run", "--config", str(config),
                         "--out", str(out)], env=env, check=True, stdout=subprocess.DEVNULL)
         trees[name] = tree_bytes(out)
+    return trees
+
+
+def test_run_writes_the_same_bytes_on_every_cpu_code_path(cpu_path_trees):
+    trees = dict(cpu_path_trees)
     default = trees.pop("default")
     assert any(k.startswith("scenarios/") for k in default)
     for name, tree in trees.items():
         assert tree.keys() == default.keys(), name
         assert [k for k in tree if tree[k] != default[k]] == [], name
+
+
+def test_the_small_run_matches_its_checked_in_manifest(cpu_path_trees):
+    # tests/golden/small_run.json holds the SHA-256 of each file of the default
+    # tree; a change that rewrites an artifact updates it in the same commit
+    golden = json.loads((Path(__file__).parent / "golden" / "small_run.json").read_text())
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in cpu_path_trees["default"].items()}
+    # each file that differs, with the digest this tree gives it (None: not written)
+    assert {name: digests.get(name) for name in sorted(golden.keys() | digests.keys())
+            if golden.get(name) != digests.get(name)} == {}
 
 
 def test_run_augments_corpus_once(tmp_path, monkeypatch):
@@ -587,6 +608,31 @@ def test_report_rejects_a_file_not_named_after_its_cell(tmp_path, capsys):
     assert main(["report", "--results", str(results)]) == 1
     assert capsys.readouterr().err == (f"error: {scenario_dir / '2018_90.json'} holds scenario "
                                        f"2019_7, so it must be named 2019_7.json\n")
+    assert not (results / "tables").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("improvement", "mean_improvement"), None),
+    (("improvement", "mean_improvement"), "12"),
+    (("improvement", "improvement_by_category", "macro"), True),
+    (("contribution_factors", "macro"), "1.0"),
+    (("rf_importance", "macro_00"), None),
+], ids=["mean-null", "mean-string", "category-bool", "contribution-string", "importance-null"])
+def test_report_rejects_a_stored_value_that_is_not_a_number(tmp_path, capsys, path, value):
+    results = tmp_path / "results"
+    scenario_dir = results / "scenarios"
+    scenario_dir.mkdir(parents=True)
+    stored = json.loads(experiments.result_to_json(scenario_result()))
+    *parents, key = path
+    section = stored
+    for parent in parents:
+        section = section[parent]
+    section[key] = value
+    (scenario_dir / "2019_7.json").write_text(json.dumps(stored))
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario_dir / '2019_7.json'}: not a stored scenario result: "
+        f"{'.'.join(path)}: expected a number, got {value!r}\n")
     assert not (results / "tables").exists()
 
 
@@ -994,14 +1040,36 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
+def test_run_stage_failure_nonzero_exit(tmp_path, monkeypatch, capsys):
     config, _, _ = small_setup(tmp_path, seed=7)
-    doc = json.loads(config.read_text())
-    doc["target_metric"] = "no-such-series"
-    config.write_text(json.dumps(doc))
+
+    def failing(*args):
+        raise ValueError("planted failure in no-such-series")
+
+    monkeypatch.setattr(experiments, "cell_blocks", failing)
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "stage prepare" in err and "no-such-series" in err
+
+
+@pytest.mark.parametrize("target, named", [
+    ("crypto-indx", "target_metric 'crypto-indx' is neither in the manifest nor the index "
+                    "target"),
+    ("sentiment_flat", "target_metric 'sentiment_flat' was dropped by cleaning: flat_run "
+                       "(constant for 420 days)"),
+], ids=["misspelt", "dropped"])
+def test_a_target_metric_missing_from_the_cleaned_corpus_fails_before_any_write(
+        tmp_path, capsys, target, named):
+    config, out_dir, _ = small_setup(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    before = tree_bytes(out_dir)
+    doc = json.loads(config.read_text())
+    doc["target_metric"] = target
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert tree_bytes(out_dir) == before
 
 
 @pytest.mark.parametrize("path, value, named", [
@@ -1053,6 +1121,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
     (("periods",), "2019-01-01", "'periods' at config root: expected a list of YYYY-MM-DD dates"),
     (("windows",), [7, 1, 7], "'windows' at config root: expected no repeated value"),
     (("indicator_windows",), [5, 5], "'indicator_windows' at config root: expected no repeated"),
+    (("indicator_sources",), ["volume", "volume"],
+     "'indicator_sources' at config root: expected no repeated value"),
 ], ids=["fra-count-string", "fra-list", "rf-number", "seed-string", "seed-bool", "holdout",
         "permutations", "background", "explain", "flat-run", "missing-negative",
         "missing-above-one", "mcaps-number", "windows-number", "windows-zero",
@@ -1063,7 +1133,8 @@ def test_run_stage_failure_nonzero_exit(tmp_path, capsys):
         "pfi-repeats", "cv-folds", "rf-fraction", "gbt-count", "gbt-bootstrap",
         "rf-learning-rate", "tune-first-with-params", "manifest-number", "manifest-null",
         "manifest-list", "manifest-empty", "output-dir-empty", "output-dir-number",
-        "periods-empty", "periods-string", "cell-windows-repeated", "windows-repeated"])
+        "periods-empty", "periods-string", "cell-windows-repeated", "windows-repeated",
+        "sources-repeated"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named):
     out_dir = tmp_path / "out"
     config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", out_dir)
@@ -1079,6 +1150,20 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, path, value, named)
     assert main(["run", "--config", str(config)]) == 1
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, default", [("rf", fra.DEFAULT_RF_PARAMS),
+                                          ("gbt", fra.DEFAULT_GBT_PARAMS)], ids=["rf", "gbt"])
+def test_a_partial_params_section_fills_from_the_fra_defaults(tmp_path, key, default):
+    config = write_run_config(tmp_path / "config.json", tmp_path / "manifest.json", tmp_path / "out",
+                              **{key: {"n_estimators": 50}})
+    params = getattr(load_run_config(config).pipeline.fra, f"{key}_params")
+    assert params == replace(default, n_estimators=50)
+    # an absent section leaves the choice to fra, as the grid search may make it
+    doc = json.loads(config.read_text())
+    del doc["fra"][key]
+    config.write_text(json.dumps(doc))
+    assert getattr(load_run_config(config).pipeline.fra, f"{key}_params") is None
 
 
 def test_gbt_section_without_bootstrap_does_not_bootstrap(tmp_path):

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from cryptodiv.data import Category, Dataset, Scenario, chronological_split
-from cryptodiv.experiments import (HorizonGroup, PipelineConfig, ShapleySettings, StageError,
-                                   _params_summary, contribution_factors, group_horizons,
-                                   improvement, prepare_dataset, result_from_json,
-                                   result_to_json, run_scenario, top_k, unique_top_k)
+from cryptodiv.experiments import (PipelineConfig, ShapleySettings, StageError, _params_summary,
+                                   contribution_factors, improvement, prepare_dataset,
+                                   result_from_json, result_to_json, run_scenario)
 from cryptodiv.fra import FraConfig
 from cryptodiv.models import EnsembleParams, ModelKind, fit_forest
+from cryptodiv.reports import HORIZON_WINDOWS, horizon_importance, ranked
 
-from synthetic import diversity_corpus
+from synthetic import diversity_corpus, scenario_result
 
 FAST_RF = EnsembleParams(n_estimators=30, max_depth=8, features_per_split=1 / 3)
 FAST_GBT = EnsembleParams(kind=ModelKind.GRADIENT_BOOST, n_estimators=20, max_depth=3,
@@ -79,8 +79,15 @@ def test_contribution_survivors_exceed_candidates_rejected():
 
 
 # ---------------------------------------------------------------------------
-# horizon groups
+# horizon groups (reports.horizon_importance)
 # ---------------------------------------------------------------------------
+
+def group_horizons(importance_by_window, start=date(2019, 1, 1)):
+    """The (short, long) importance maps of one set's cells, window -> rf_importance."""
+    results = [replace(scenario_result(start, w), rf_importance=m)
+               for w, m in importance_by_window.items()]
+    return tuple(horizon_importance(results)[str(start.year)].values())
+
 
 def test_group_horizons_mean_and_carry():
     by_window = {
@@ -90,11 +97,11 @@ def test_group_horizons_mean_and_carry():
         180: {"g": 0.1, "only180": 0.3},
     }
     short, long = group_horizons(by_window)
-    assert short.importance["f"] == pytest.approx(0.3)
-    assert short.importance["only1"] == pytest.approx(0.9)
-    assert long.importance["g"] == pytest.approx(0.3)
-    assert long.importance["only180"] == pytest.approx(0.3)
-    assert short.windows == (1, 7) and long.windows == (90, 180)
+    assert short["f"] == pytest.approx(0.3)
+    assert short["only1"] == pytest.approx(0.9)
+    assert long["g"] == pytest.approx(0.3)
+    assert long["only180"] == pytest.approx(0.3)
+    assert HORIZON_WINDOWS == {"short_term": (1, 7), "long_term": (90, 180)}
 
 
 def test_group_horizons_disjoint_sizes_sum():
@@ -104,12 +111,16 @@ def test_group_horizons_disjoint_sizes_sum():
         90: {}, 180: {},
     }
     short, _ = group_horizons(by_window)
-    assert len(short.importance) == 7
+    assert len(short) == 7
 
 
-def test_group_horizons_missing_member():
-    with pytest.raises(ValueError, match="missing member"):
-        group_horizons({1: {"f": 1.0}, 90: {}, 180: {}})
+def test_horizon_importance_leaves_out_a_set_missing_a_window():
+    # 2019 lacks window 7; 2018 has all four
+    results = [replace(scenario_result(date(2019, 1, 1), w), rf_importance=m)
+               for w, m in {1: {"f": 1.0}, 90: {}, 180: {}}.items()]
+    assert horizon_importance(results) == {}
+    results += [scenario_result(date(2018, 1, 1), w) for w in (1, 7, 90, 180)]
+    assert list(horizon_importance(results)) == ["2018"]
 
 
 def test_group_merged_value_between_members():
@@ -119,16 +130,17 @@ def test_group_merged_value_between_members():
     short, _ = group_horizons({1: w1, 7: w7, 90: {}, 180: {}})
     for f in w1:
         lo, hi = sorted((w1[f], w7[f]))
-        assert lo <= short.importance[f] <= hi
+        assert lo <= short[f] <= hi
 
 
 def test_top_k_and_unique_top_k():
-    a = HorizonGroup("short_term", (1, 7), {"x": 3.0, "y": 2.0, "z": 1.0, "w": 2.0})
-    b = HorizonGroup("long_term", (90, 180), {"x": 9.0, "q": 1.0})
-    assert top_k(a, 2) == [("x", 3.0), ("w", 2.0)]  # tie w/y broken by name
-    assert unique_top_k(a, b, 2) == [("w", 2.0), ("y", 2.0)]
-    assert unique_top_k(a, b, 10) == [("w", 2.0), ("y", 2.0), ("z", 1.0)]
-    assert unique_top_k(a, a, 5) == []
+    a = {"x": 3.0, "y": 2.0, "z": 1.0, "w": 2.0}
+    b = {"x": 9.0, "q": 1.0}
+    only_a = {f: v for f, v in a.items() if f not in b}
+    assert ranked(a, 2) == [("x", 3.0), ("w", 2.0)]  # tie w/y broken by name
+    assert ranked(only_a, 2) == [("w", 2.0), ("y", 2.0)]
+    assert ranked(only_a, 10) == [("w", 2.0), ("y", 2.0), ("z", 1.0)]
+    assert ranked({f: v for f, v in a.items() if f not in a}, 5) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -39,6 +40,23 @@ def test_tables_list_cells_in_period_then_window_order_whatever_order_they_arriv
         "2019,7,macro,1.0", "2019,30,macro,1.0", "2019,180,macro,1.0"]
     assert reports.render_improvement_by_window_csv(results).splitlines() == [
         "window,2017,2019", "7,7.00,7.00", "30,30.00,30.00", "180,-,180.00"]
+
+
+def test_horizon_tables_hold_only_the_sets_with_all_four_windows():
+    # 2018 ran windows 1, 7, 90 and 180; 2019 lacks 180
+    results = [replace(scenario_result(date(year, 1, 1), w),
+                       rf_importance={"shared": 1.0, f"w{w}": float(w)})
+               for year, windows in ((2018, (1, 7, 90, 180)), (2019, (1, 7, 90)))
+               for w in windows]
+    assert reports.render_top_features_csv(results).splitlines() == [
+        "set,horizon,rank,feature,importance",
+        "2018,short_term,1,w7,7.0", "2018,short_term,2,shared,1.0", "2018,short_term,3,w1,1.0",
+        "2018,long_term,1,w180,180.0", "2018,long_term,2,w90,90.0",
+        "2018,long_term,3,shared,1.0"]
+    assert reports.render_unique_features_csv(results).splitlines() == [
+        "set,horizon,rank,feature,importance",
+        "2018,short_term,1,w7,7.0", "2018,short_term,2,w1,1.0",
+        "2018,long_term,1,w180,180.0", "2018,long_term,2,w90,90.0"]
 
 
 @pytest.mark.parametrize("failing", ["replace", "write"])
