@@ -372,7 +372,8 @@ def result_from_json(text: str) -> ScenarioResult:
         candidate_counts={Category(c): n for c, n in doc["candidate_counts"].items()},
         contribution_factors={Category(c): _number(v, f"contribution_factors.{c}")
                               for c, v in doc["contribution_factors"].items()},
-        rf_importance={f: _number(v, f"rf_importance.{f}") for f, v in doc["rf_importance"].items()},
+        rf_importance={f: _number(v, f"rf_importance.{f}")
+                       for f, v in doc["rf_importance"].items()},
         model_summary=doc["model_summary"],
         improvement=improvement_result,
         fra_iterations=doc["fra"]["iterations"],

@@ -82,7 +82,7 @@ def test_contribution_survivors_exceed_candidates_rejected():
 # horizon groups (reports.horizon_importance)
 # ---------------------------------------------------------------------------
 
-def group_horizons(importance_by_window, start=date(2019, 1, 1)):
+def short_and_long(importance_by_window, start=date(2019, 1, 1)):
     """The (short, long) importance maps of one set's cells, window -> rf_importance."""
     results = [replace(scenario_result(start, w), rf_importance=m)
                for w, m in importance_by_window.items()]
@@ -96,7 +96,7 @@ def test_group_horizons_mean_and_carry():
         90: {"g": 0.5},
         180: {"g": 0.1, "only180": 0.3},
     }
-    short, long = group_horizons(by_window)
+    short, long = short_and_long(by_window)
     assert short["f"] == pytest.approx(0.3)
     assert short["only1"] == pytest.approx(0.9)
     assert long["g"] == pytest.approx(0.3)
@@ -110,7 +110,7 @@ def test_group_horizons_disjoint_sizes_sum():
         7: {f"b{i}": 1.0 for i in range(3)},
         90: {}, 180: {},
     }
-    short, _ = group_horizons(by_window)
+    short, _ = short_and_long(by_window)
     assert len(short) == 7
 
 
@@ -127,7 +127,7 @@ def test_group_merged_value_between_members():
     rng = np.random.default_rng(0)
     w1 = {f"f{i}": float(rng.uniform()) for i in range(10)}
     w7 = {f"f{i}": float(rng.uniform()) for i in range(10)}
-    short, _ = group_horizons({1: w1, 7: w7, 90: {}, 180: {}})
+    short, _ = short_and_long({1: w1, 7: w7, 90: {}, 180: {}})
     for f in w1:
         lo, hi = sorted((w1[f], w7[f]))
         assert lo <= short[f] <= hi
@@ -140,7 +140,7 @@ def test_top_k_and_unique_top_k():
     assert ranked(a, 2) == [("x", 3.0), ("w", 2.0)]  # tie w/y broken by name
     assert ranked(only_a, 2) == [("w", 2.0), ("y", 2.0)]
     assert ranked(only_a, 10) == [("w", 2.0), ("y", 2.0), ("z", 1.0)]
-    assert ranked({f: v for f, v in a.items() if f not in a}, 5) == []
+    assert ranked({}, 5) == []
 
 
 # ---------------------------------------------------------------------------
